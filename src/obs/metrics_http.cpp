@@ -2,10 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <mutex>
-#include <vector>
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -18,26 +15,6 @@ namespace heb {
 namespace obs {
 
 namespace {
-
-/**
- * Every live server, so a fork() child can close the inherited
- * listening sockets it must never serve on. Guarded by liveMutex();
- * fork() in this codebase only happens with no server being
- * constructed or destroyed concurrently.
- */
-std::mutex &
-liveMutex()
-{
-    static std::mutex mu;
-    return mu;
-}
-
-std::vector<const MetricsHttpServer *> &
-liveServers()
-{
-    static std::vector<const MetricsHttpServer *> servers;
-    return servers;
-}
 
 void
 sendAll(int fd, const std::string &data)
@@ -87,43 +64,16 @@ MetricsHttpServer::MetricsHttpServer(MetricsRegistry &registry,
         fatal("metrics endpoint: getsockname() failed");
     port_ = ntohs(addr.sin_port);
 
-    {
-        std::lock_guard<std::mutex> lock(liveMutex());
-        liveServers().push_back(this);
-    }
     thread_ = std::thread([this] { serveLoop(); });
 }
 
 MetricsHttpServer::~MetricsHttpServer() { stop(); }
 
 void
-MetricsHttpServer::closeInheritedAfterFork()
-{
-    // Single-threaded child: the registry mutex cannot be contended
-    // (and could be stale if the parent forked mid-lock, which the
-    // shard runner's fork discipline rules out). Close only — the
-    // accept threads recorded here died in the fork.
-    for (const MetricsHttpServer *server : liveServers())
-        if (server->listenFd_ >= 0)
-            ::close(server->listenFd_);
-    liveServers().clear();
-}
-
-void
 MetricsHttpServer::stop()
 {
     if (stopping_.exchange(true))
         return;
-    {
-        std::lock_guard<std::mutex> lock(liveMutex());
-        auto &live = liveServers();
-        for (auto it = live.begin(); it != live.end(); ++it) {
-            if (*it == this) {
-                live.erase(it);
-                break;
-            }
-        }
-    }
     // shutdown() wakes the blocking accept(); close() alone can
     // leave it parked on some kernels.
     ::shutdown(listenFd_, SHUT_RDWR);

@@ -53,17 +53,6 @@ class MetricsHttpServer
     /** Close the socket and join the accept thread (idempotent). */
     void stop();
 
-    /**
-     * Close every live server's listening socket in a fork() child.
-     * The socket is opened close-on-exec, which covers fork+exec
-     * children, but a plain fork() (the sharded fleet runner) still
-     * inherits the fd: a child that outlives the parent would then
-     * hold the port open and steal scrapes. Call right after fork()
-     * in the child — it closes the fds without touching the accept
-     * thread (which does not exist in the child).
-     */
-    static void closeInheritedAfterFork();
-
     /** The raw listening fd, for fd-flag assertions in tests. */
     int listenFdForTest() const { return listenFd_; }
 

@@ -13,7 +13,6 @@
 #include "esd/battery.h"
 #include "esd/supercapacitor.h"
 #include "sim/rack_domain.h"
-#include "sim/sim_result.h"
 #include "util/atomic_file.h"
 #include "util/format.h"
 #include "util/logging.h"
@@ -903,159 +902,6 @@ RackDomain::checkpointLoad(const CheckpointReader &reader,
             reader.getBool(prefix + "injector.have_last_good");
         injector_->restoreState(s);
     }
-}
-
-void
-saveSimResult(CheckpointWriter &writer, const std::string &prefix,
-              const SimResult &result)
-{
-    writer.putString(prefix + "scheme", result.schemeName);
-    writer.putString(prefix + "workload", result.workloadName);
-    writer.putU64(prefix + "peak_class",
-                  static_cast<std::uint64_t>(
-                      result.workloadPeakClass));
-    writer.putDouble(prefix + "duration_s",
-                     result.durationSeconds);
-    writer.putDouble(prefix + "energy_efficiency",
-                     result.energyEfficiency);
-    writer.putDouble(prefix + "effective_efficiency",
-                     result.effectiveEfficiency);
-    writer.putDouble(prefix + "downtime_s",
-                     result.downtimeSeconds);
-    writer.putDouble(prefix + "battery_lifetime_years",
-                     result.batteryLifetimeYears);
-    writer.putDouble(prefix + "reu", result.reu);
-    writer.putDouble(prefix + "energy_not_served_wh",
-                     result.energyNotServedWh);
-    writer.putU64(prefix + "shortfall_ticks",
-                  result.shortfallTicks);
-    writer.putU64(prefix + "server_crash_events",
-                  result.serverCrashEvents);
-    writer.putU64(prefix + "graceful_shed_events",
-                  result.gracefulShedEvents);
-    writer.putU64(prefix + "fault_events_applied",
-                  result.faultEventsApplied);
-    writer.putU64(prefix + "degradation_actions",
-                  result.degradationActions);
-    writer.putU64(prefix + "faults_by_kind.n",
-                  result.faultEventsByKind.size());
-    for (std::size_t i = 0; i < result.faultEventsByKind.size();
-         ++i)
-        writer.putU64(prefix + "faults_by_kind." +
-                          std::to_string(i),
-                      result.faultEventsByKind[i]);
-    writer.putU64(prefix + "fault_log.n", result.faultLog.size());
-    for (std::size_t i = 0; i < result.faultLog.size(); ++i)
-        writer.putString(prefix + "fault_log." +
-                             std::to_string(i),
-                         result.faultLog[i]);
-    saveLedger(writer, prefix + "ledger", result.ledger);
-    writer.putDouble(prefix + "battery_weighted_ah",
-                     result.batteryWeightedAh);
-    writer.putDouble(prefix + "battery_discharge_ah",
-                     result.batteryDischargeAh);
-    writer.putDouble(prefix + "sc_discharge_ah",
-                     result.scDischargeAh);
-    writer.putU64(prefix + "server_on_off_cycles",
-                  result.serverOnOffCycles);
-    writer.putDouble(prefix + "perf_degradation_server_s",
-                     result.perfDegradationServerSeconds);
-    writer.putU64(prefix + "switch_actuations",
-                  result.switchActuations);
-    writer.putDouble(prefix + "switch_wear_fraction",
-                     result.switchWearFraction);
-    writer.putU64(prefix + "completed_slots",
-                  result.completedSlots);
-    writer.putDouble(prefix + "peak_utility_draw_w",
-                     result.peakUtilityDrawW);
-    saveSeries(writer, prefix + "series.demand_w",
-               result.demandW);
-    saveSeries(writer, prefix + "series.supply_w",
-               result.supplyW);
-    saveSeries(writer, prefix + "series.unserved_w",
-               result.unservedW);
-    saveSeries(writer, prefix + "series.sc_soc", result.scSoc);
-    saveSeries(writer, prefix + "series.ba_soc", result.baSoc);
-    saveSeries(writer, prefix + "series.r_lambda",
-               result.rLambdaPerSlot);
-}
-
-void
-loadSimResult(const CheckpointReader &reader,
-              const std::string &prefix, SimResult &result)
-{
-    result.schemeName = reader.getString(prefix + "scheme");
-    result.workloadName = reader.getString(prefix + "workload");
-    result.workloadPeakClass = static_cast<PeakClass>(
-        reader.getU64(prefix + "peak_class"));
-    result.durationSeconds =
-        reader.getDouble(prefix + "duration_s");
-    result.energyEfficiency =
-        reader.getDouble(prefix + "energy_efficiency");
-    result.effectiveEfficiency =
-        reader.getDouble(prefix + "effective_efficiency");
-    result.downtimeSeconds =
-        reader.getDouble(prefix + "downtime_s");
-    result.batteryLifetimeYears =
-        reader.getDouble(prefix + "battery_lifetime_years");
-    result.reu = reader.getDouble(prefix + "reu");
-    result.energyNotServedWh =
-        reader.getDouble(prefix + "energy_not_served_wh");
-    result.shortfallTicks = static_cast<unsigned long>(
-        reader.getU64(prefix + "shortfall_ticks"));
-    result.serverCrashEvents = static_cast<unsigned long>(
-        reader.getU64(prefix + "server_crash_events"));
-    result.gracefulShedEvents = static_cast<unsigned long>(
-        reader.getU64(prefix + "graceful_shed_events"));
-    result.faultEventsApplied = static_cast<unsigned long>(
-        reader.getU64(prefix + "fault_events_applied"));
-    result.degradationActions = static_cast<unsigned long>(
-        reader.getU64(prefix + "degradation_actions"));
-    result.faultEventsByKind.assign(
-        static_cast<std::size_t>(
-            reader.getU64(prefix + "faults_by_kind.n")),
-        0);
-    for (std::size_t i = 0; i < result.faultEventsByKind.size();
-         ++i)
-        result.faultEventsByKind[i] =
-            static_cast<unsigned long>(reader.getU64(
-                prefix + "faults_by_kind." + std::to_string(i)));
-    result.faultLog.assign(
-        static_cast<std::size_t>(
-            reader.getU64(prefix + "fault_log.n")),
-        std::string());
-    for (std::size_t i = 0; i < result.faultLog.size(); ++i)
-        result.faultLog[i] = reader.getString(
-            prefix + "fault_log." + std::to_string(i));
-    result.ledger = loadLedger(reader, prefix + "ledger");
-    result.batteryWeightedAh =
-        reader.getDouble(prefix + "battery_weighted_ah");
-    result.batteryDischargeAh =
-        reader.getDouble(prefix + "battery_discharge_ah");
-    result.scDischargeAh =
-        reader.getDouble(prefix + "sc_discharge_ah");
-    result.serverOnOffCycles = static_cast<unsigned long>(
-        reader.getU64(prefix + "server_on_off_cycles"));
-    result.perfDegradationServerSeconds =
-        reader.getDouble(prefix + "perf_degradation_server_s");
-    result.switchActuations = static_cast<unsigned long>(
-        reader.getU64(prefix + "switch_actuations"));
-    result.switchWearFraction =
-        reader.getDouble(prefix + "switch_wear_fraction");
-    result.completedSlots = static_cast<unsigned long>(
-        reader.getU64(prefix + "completed_slots"));
-    result.peakUtilityDrawW =
-        reader.getDouble(prefix + "peak_utility_draw_w");
-    result.demandW =
-        loadSeries(reader, prefix + "series.demand_w");
-    result.supplyW =
-        loadSeries(reader, prefix + "series.supply_w");
-    result.unservedW =
-        loadSeries(reader, prefix + "series.unserved_w");
-    result.scSoc = loadSeries(reader, prefix + "series.sc_soc");
-    result.baSoc = loadSeries(reader, prefix + "series.ba_soc");
-    result.rLambdaPerSlot =
-        loadSeries(reader, prefix + "series.r_lambda");
 }
 
 std::string

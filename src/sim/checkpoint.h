@@ -33,8 +33,6 @@
 
 namespace heb {
 
-struct SimResult;
-
 /** Current checkpoint format version. */
 constexpr std::uint32_t kCheckpointFormatVersion = 1;
 
@@ -185,26 +183,9 @@ void installCheckpointOnFatal(std::function<void()> writer);
 void clearCheckpointOnFatal();
 
 /**
- * Serialize a complete SimResult under @p prefix using the
- * round-trip-exact key=value codec. This is the sharded fleet
- * engine's result wire format: a child process finalizes its racks,
- * encodes each SimResult with this, and the parent reconstructs an
- * object whose simResultToJson rendering is byte-identical to the
- * in-process one.
- */
-void saveSimResult(CheckpointWriter &writer,
-                   const std::string &prefix,
-                   const SimResult &result);
-
-/** Inverse of saveSimResult; fatal() on a missing or skewed key. */
-void loadSimResult(const CheckpointReader &reader,
-                   const std::string &prefix, SimResult &result);
-
-/**
- * Per-rack fleet shard file "<dir>/fleet-<tick>-rack<r>.ckpt" —
- * shared by the in-process fleet engine and the sharded runner so
- * a run checkpointed under one --shards count resumes under any
- * other.
+ * Per-rack fleet checkpoint file "<dir>/fleet-<tick>-rack<r>.ckpt".
+ * One file per rack, so the --jobs count that wrote a set does not
+ * constrain the one that resumes it.
  */
 std::string fleetShardCheckpointPath(const std::string &dir,
                                      std::uint64_t tick,

@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "sim/fleet_health.h"
-#include "sim/fleet_shard.h"
 #include "sim/tick_math.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -50,22 +49,57 @@ class SpanDrawRecorder final : public PowerSource
     std::vector<double> draws;
 };
 
-} // namespace
-
-void
-FleetOptions::validate() const
+/**
+ * Lazily-interned fleet.ff_decline_total{rack,reason} counters for
+ * the event engine's fast-forward decline attribution. Reasons:
+ * "not_calm" (the rack's dense tick drew on buffers or exceeded its
+ * allocation), "horizon" (the rack owned the fleet horizon that left
+ * no room for a macro-tick), "probe" (the rack's fastForwardCheck
+ * rejected the candidate span).
+ */
+class FfDeclineCounters
 {
-    if (std::isnan(healthSampleSeconds))
-        fatal("FleetOptions: healthSampleSeconds is NaN");
-    if (onHealthSample && !health)
-        fatal("FleetOptions: onHealthSample callback set but no "
-              "health aggregator to sample");
-    if (shards != 1 && mode != FleetMode::Event)
-        fatal("FleetOptions: sharding needs the event engine; the "
-              "dense engine is the single-process byte-identity "
-              "witness");
-}
+  public:
+    explicit FfDeclineCounters(const std::vector<RackSpec> &racks)
+        : racks_(&racks), notCalm_(racks.size(), nullptr),
+          horizon_(racks.size(), nullptr),
+          probe_(racks.size(), nullptr)
+    {
+    }
 
+    void noteNotCalm(std::size_t rack)
+    {
+        bump(notCalm_, "not_calm", rack);
+    }
+
+    void noteHorizon(std::size_t rack)
+    {
+        bump(horizon_, "horizon", rack);
+    }
+
+    void noteProbe(std::size_t rack) { bump(probe_, "probe", rack); }
+
+  private:
+    void
+    bump(std::vector<obs::Counter *> &slot, const char *reason,
+         std::size_t rack)
+    {
+        if (!obs::metricsOn())
+            return;
+        if (!slot[rack])
+            slot[rack] = &obs::MetricsRegistry::global().counter(
+                "fleet.ff_decline_total",
+                {{"rack", (*racks_)[rack].name}, {"reason", reason}});
+        slot[rack]->inc();
+    }
+
+    const std::vector<RackSpec> *racks_;
+    std::vector<obs::Counter *> notCalm_;
+    std::vector<obs::Counter *> horizon_;
+    std::vector<obs::Counter *> probe_;
+};
+
+/** FleetResult::ffDeclinedSpanHist bin of a @p span_ticks span. */
 std::size_t
 ffDeclineHistBin(std::size_t span_ticks)
 {
@@ -77,42 +111,16 @@ ffDeclineHistBin(std::size_t span_ticks)
     return bin;
 }
 
-FfDeclineCounters::FfDeclineCounters(
-    const std::vector<RackSpec> &racks)
-    : racks_(&racks), notCalm_(racks.size(), nullptr),
-      horizon_(racks.size(), nullptr), probe_(racks.size(), nullptr)
-{
-}
+} // namespace
 
 void
-FfDeclineCounters::bump(std::vector<obs::Counter *> &slot,
-                        const char *reason, std::size_t rack)
+FleetOptions::validate() const
 {
-    if (!obs::metricsOn())
-        return;
-    if (!slot[rack])
-        slot[rack] = &obs::MetricsRegistry::global().counter(
-            "fleet.ff_decline_total",
-            {{"rack", (*racks_)[rack].name}, {"reason", reason}});
-    slot[rack]->inc();
-}
-
-void
-FfDeclineCounters::noteNotCalm(std::size_t rack)
-{
-    bump(notCalm_, "not_calm", rack);
-}
-
-void
-FfDeclineCounters::noteHorizon(std::size_t rack)
-{
-    bump(horizon_, "horizon", rack);
-}
-
-void
-FfDeclineCounters::noteProbe(std::size_t rack)
-{
-    bump(probe_, "probe", rack);
+    if (std::isnan(healthSampleSeconds))
+        fatal("FleetOptions: healthSampleSeconds is NaN");
+    if (onHealthSample && !health)
+        fatal("FleetOptions: onHealthSample callback set but no "
+              "health aggregator to sample");
 }
 
 const char *
@@ -155,51 +163,22 @@ FleetSimulator::FleetSimulator(SimConfig rack_config,
 {
 }
 
-double
-rackArbitrationNeed(RackDomain &domain, double now_seconds)
-{
-    // Weight by *need*, not just instantaneous demand: a rack whose
-    // servers were shed must receive enough headroom to restart
-    // them, or a brown-out becomes a permanent allocation death
-    // spiral.
-    return domain.computeDemand(now_seconds) +
-           static_cast<double>(domain.offlineServers()) *
-               domain.serverPeakPowerW() * 1.2;
-}
-
-void
-arbitrateFleetBudget(BudgetPolicy policy, double facility_budget_w,
-                     const std::vector<double> &need,
-                     std::vector<double> &alloc)
-{
-    const std::size_t n = need.size();
-    double total_need = 0.0;
-    for (std::size_t r = 0; r < n; ++r)
-        total_need += need[r];
-
-    double equal_share = facility_budget_w / static_cast<double>(n);
-    if (policy == BudgetPolicy::Static || total_need <= 0.0) {
-        std::fill(alloc.begin(), alloc.end(), equal_share);
-    } else {
-        // Proportional-to-need with a 25 % floor of the equal
-        // share so an idle rack can still charge its buffers.
-        double floor = 0.25 * equal_share;
-        double flexible =
-            facility_budget_w - floor * static_cast<double>(n);
-        for (std::size_t r = 0; r < n; ++r)
-            alloc[r] = floor + flexible * need[r] / total_need;
-    }
-}
-
 void
 FleetSimulator::computeNeeds(
     std::vector<std::unique_ptr<RackDomain>> &domains,
     const std::vector<std::size_t> &idx, double now,
     std::vector<double> &need) const
 {
+    // Weight by *need*, not just instantaneous demand: a rack whose
+    // servers were shed must receive enough headroom to restart
+    // them, or a brown-out becomes a permanent allocation death
+    // spiral.
     std::vector<double> computed =
         parallelMap(idx, [&](std::size_t r) {
-            return rackArbitrationNeed(*domains[r], now);
+            RackDomain &domain = *domains[r];
+            return domain.computeDemand(now) +
+                   static_cast<double>(domain.offlineServers()) *
+                       domain.serverPeakPowerW() * 1.2;
         });
     need.swap(computed);
 }
@@ -208,8 +187,27 @@ void
 FleetSimulator::arbitrate(const std::vector<double> &need,
                           std::vector<double> &alloc) const
 {
-    arbitrateFleetBudget(options_.policy, facilityBudgetW_, need,
-                         alloc);
+    // total_need is accumulated in rack order: the allocation is a
+    // pure function of the full need vector, and re-associating the
+    // sum would move it in the last ulp.
+    const std::size_t n = need.size();
+    double total_need = 0.0;
+    for (std::size_t r = 0; r < n; ++r)
+        total_need += need[r];
+
+    double equal_share = facilityBudgetW_ / static_cast<double>(n);
+    if (options_.policy == BudgetPolicy::Static ||
+        total_need <= 0.0) {
+        std::fill(alloc.begin(), alloc.end(), equal_share);
+    } else {
+        // Proportional-to-need with a 25 % floor of the equal
+        // share so an idle rack can still charge its buffers.
+        double floor = 0.25 * equal_share;
+        double flexible =
+            facilityBudgetW_ - floor * static_cast<double>(n);
+        for (std::size_t r = 0; r < n; ++r)
+            alloc[r] = floor + flexible * need[r] / total_need;
+    }
 }
 
 FleetResult
@@ -240,16 +238,6 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
                   "' shares a scheme instance with another rack; "
                   "give each rack its own");
     }
-
-    // Scale-out dispatch: with more than one resolved shard the run
-    // moves to the fork()-based runner, which owns its own copy of
-    // this loop (the parent side drives the same decision sequence
-    // over pipes). Everything below is the in-process engine.
-    std::size_t shard_n =
-        resolveShardCount(options_.shards, racks.size());
-    if (shard_n > 1)
-        return runShardedFleet(config_, facilityBudgetW_, options_,
-                               racks, ckpt, shard_n);
 
     // One shared fault plan for every rack: generation is pure in
     // (params, duration, seed), so per-domain regeneration produced

@@ -34,7 +34,7 @@
 
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,10 +47,6 @@
 #include "workload/workload.h"
 
 namespace heb {
-
-namespace obs {
-class Counter;
-} // namespace obs
 
 class FleetHealthAggregator;
 
@@ -127,23 +123,8 @@ struct FleetOptions
     void *onHealthSampleUser = nullptr;
 
     /**
-     * Worker processes for the run. 1 (the default) runs the fleet
-     * in-process; N > 1 forks N shard children, each owning a
-     * contiguous rack range with its own ThreadPool and SoA arenas,
-     * exchanging per-rack demand/draw vectors with the parent every
-     * span so arbitration and the facility-peak re-sum happen in the
-     * parent in rack order — the final FleetResult is byte-identical
-     * at %.17g to the in-process run. 0 means auto (one shard per
-     * core, capped at the rack count). Sharding requires the event
-     * engine; live health sampling is unavailable across the process
-     * boundary (finalize-time folding still happens).
-     */
-    std::size_t shards = 1;
-
-    /**
-     * fatal() on malformed knobs: NaN health-sample period, a
-     * sample callback without an aggregator to sample, or a
-     * multi-shard request on the dense engine.
+     * fatal() on malformed knobs: NaN health-sample period, or a
+     * sample callback without an aggregator to sample.
      */
     void validate() const;
 };
@@ -154,9 +135,6 @@ struct FleetOptions
  * open-ended.
  */
 constexpr std::size_t kFfDeclineHistBins = 16;
-
-/** Histogram bin index for a declined span of @p span_ticks. */
-std::size_t ffDeclineHistBin(std::size_t span_ticks);
 
 /** Aggregate + per-rack results of a fleet run. */
 struct FleetResult
@@ -212,7 +190,7 @@ struct FleetResult
     // Why the engine stayed dense (ROADMAP item 1: the lax-sync
     // decision needs decline-rate data, not intuition). Mirrored
     // into fleet.ff_decline_total{rack,reason} counters; identical
-    // across --jobs and --shards by construction.
+    // across --jobs by construction.
 
     /** Dense ticks where some rack's tick was not calm (buffer
      *  draw or demand above allocation) — reason "not_calm". */
@@ -230,64 +208,6 @@ struct FleetResult
      *  counts spans of [2^i, 2^(i+1)) ticks; last bin open). */
     std::vector<unsigned long> ffDeclinedSpanHist =
         std::vector<unsigned long>(kFfDeclineHistBins, 0);
-
-    /**
-     * Peak RSS each shard child reported at finish (bytes; empty
-     * for in-process runs). Deliberately NOT part of
-     * fleetResultToJson — the result JSON is the byte-identity
-     * witness across --shards counts, and per-process memory is
-     * not part of the simulated physics. Also mirrored into the
-     * fleet.shard_maxrss_bytes{shard} gauges.
-     */
-    std::vector<std::uint64_t> shardPeakRssBytes;
-};
-
-/**
- * One rack's arbitration need at @p now: instantaneous demand plus
- * restart headroom for shed servers. Shared by the in-process engine
- * (computeNeeds) and the shard children so both evaluate the exact
- * same FP expression per rack.
- */
-double rackArbitrationNeed(RackDomain &domain, double now_seconds);
-
-/**
- * Split @p facility_budget_w over @p need into @p alloc (same
- * size). total_need is accumulated in rack order — the allocation
- * is a pure function of the full need vector, which is why sharded
- * runs ship per-rack needs to the parent instead of partial sums:
- * re-associating the sum would move the result in the last ulp.
- */
-void arbitrateFleetBudget(BudgetPolicy policy,
-                          double facility_budget_w,
-                          const std::vector<double> &need,
-                          std::vector<double> &alloc);
-
-/**
- * Lazily-interned fleet.ff_decline_total{rack,reason} counters for
- * the event engine's fast-forward decline attribution. Reasons:
- * "not_calm" (the rack's dense tick drew on buffers or exceeded its
- * allocation), "horizon" (the rack owned the fleet horizon that left
- * no room for a macro-tick), "probe" (the rack's fastForwardCheck
- * rejected the candidate span). Used by both the in-process engine
- * and the sharded parent, which attribute identically.
- */
-class FfDeclineCounters
-{
-  public:
-    explicit FfDeclineCounters(const std::vector<RackSpec> &racks);
-
-    void noteNotCalm(std::size_t rack);
-    void noteHorizon(std::size_t rack);
-    void noteProbe(std::size_t rack);
-
-  private:
-    void bump(std::vector<obs::Counter *> &slot, const char *reason,
-              std::size_t rack);
-
-    const std::vector<RackSpec> *racks_;
-    std::vector<obs::Counter *> notCalm_;
-    std::vector<obs::Counter *> horizon_;
-    std::vector<obs::Counter *> probe_;
 };
 
 /** A shared-budget multi-rack simulation. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Process memory introspection for bench artifacts and shard stats.
+ * Process memory introspection for bench artifacts.
  */
 
 #pragma once
@@ -11,11 +11,8 @@ namespace heb {
 
 /**
  * Peak resident set size of the calling process in bytes, from
- * getrusage(RUSAGE_SELF). The kernel reports the high-water mark
- * since process start (after fork(): since the fork, because the
- * child's counter is reset on Linux only by exec — treat a child's
- * reading as an upper bound that includes inherited pages).
- * Returns 0 when the platform cannot say.
+ * getrusage(RUSAGE_SELF): the kernel's high-water mark since
+ * process start. Returns 0 when the platform cannot say.
  */
 std::uint64_t peakRssBytes();
 

@@ -152,11 +152,4 @@ ThreadPool::configureGlobal(std::size_t jobs)
     globalPoolSlot().reset();
 }
 
-std::size_t
-ThreadPool::configuredJobs()
-{
-    std::lock_guard<std::mutex> lock(globalPoolMutex());
-    return globalJobsOverride();
-}
-
 } // namespace heb

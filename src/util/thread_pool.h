@@ -172,9 +172,6 @@ class ThreadPool
      */
     static void configureGlobal(std::size_t jobs);
 
-    /** The configureGlobal override in force (0 = none). */
-    static std::size_t configuredJobs();
-
   private:
     /** Completion state shared by one map() batch. */
     struct Batch

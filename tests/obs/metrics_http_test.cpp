@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cerrno>
 #include <cstring>
 #include <string>
 
@@ -15,7 +14,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "obs/metrics.h"
@@ -140,42 +138,6 @@ TEST_F(MetricsHttpTest, ListenSocketIsCloseOnExec)
     ASSERT_GE(flags, 0);
     EXPECT_NE(flags & FD_CLOEXEC, 0)
         << "listen socket would leak across exec";
-}
-
-/**
- * A plain fork() (no exec — the sharded fleet's children) must be
- * able to drop every inherited listen socket, or a dead parent's
- * port stays bound by its children. The child closes via
- * closeInheritedAfterFork() and reports what it found through its
- * exit code.
- */
-TEST_F(MetricsHttpTest, ForkedChildClosesInheritedSocket)
-{
-    MetricsRegistry reg;
-    MetricsHttpServer server(reg, 0);
-    int fd = server.listenFdForTest();
-    ASSERT_GE(fd, 0);
-
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        MetricsHttpServer::closeInheritedAfterFork();
-        // After the close the fd must be dead in this process.
-        bool closed = ::fcntl(fd, F_GETFD) < 0 && errno == EBADF;
-        // And a second call must be a harmless no-op.
-        MetricsHttpServer::closeInheritedAfterFork();
-        _exit(closed ? 0 : 1);
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0)
-        << "inherited listen socket still open in forked child";
-
-    // The parent's server is untouched and still serving.
-    std::string response =
-        httpExchange(server.port(), "GET / HTTP/1.0\r\n\r\n");
-    EXPECT_NE(response.find("200 OK"), std::string::npos);
 }
 
 } // namespace

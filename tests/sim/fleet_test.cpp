@@ -1,6 +1,8 @@
 /** @file Multi-rack fleet with shared-budget arbitration. */
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -352,6 +354,60 @@ TEST(FleetEvent, DroppedPerRackResultsKeepAggregates)
             .run(slim_rig.specs);
     EXPECT_TRUE(slim.racks.empty());
     expectAggregatesIdentical(kept, slim);
+}
+
+/**
+ * A contended fleet under frequent long converter trips: high-phase
+ * collisions oversubscribe the facility and trip edges shorten
+ * horizons, so every fast-forward decline reason sees traffic. The
+ * decline counters are engine output, so they must be populated,
+ * self-consistent and rendered into the result witness.
+ */
+TEST(FleetEvent, DeclineCountersOnContendedFaultyFleet)
+{
+    SimConfig cfg;
+    cfg.durationSeconds = 4.0 * 3600.0;
+    cfg.faultInjection = true;
+    cfg.faultPlan.atsFailuresPerDay = 0.0;
+    cfg.faultPlan.converterTripsPerDay = 48.0;
+    cfg.faultPlan.converterRestartSeconds = 1800.0;
+    std::vector<std::unique_ptr<SyntheticWorkload>> workloads;
+    std::vector<std::unique_ptr<ManagementScheme>> schemes;
+    std::vector<RackSpec> specs;
+    for (std::size_t i = 0; i < 6; ++i) {
+        std::string name = "S" + std::to_string(i);
+        workloads.push_back(std::make_unique<SyntheticWorkload>(
+            calmProfile(name.c_str(),
+                        0.30 + 0.15 * static_cast<double>(i % 4)),
+            i + 1));
+        schemes.push_back(makeScheme(SchemeKind::HebD));
+        specs.push_back(RackSpec{"rack" + std::to_string(i),
+                                 workloads[i].get(),
+                                 schemes[i].get()});
+    }
+    // Between the all-low fleet demand and the overlap of two high
+    // phases: collisions oversubscribe, low phases leave headroom.
+    FleetResult r =
+        FleetSimulator(cfg, 205.0 * 6.0,
+                       FleetOptions{BudgetPolicy::Proportional,
+                                    FleetMode::Event, true})
+            .run(specs);
+
+    EXPECT_GT(r.ffNotCalmTicks, 0ul);
+    EXPECT_GT(r.ffHorizonDeclines, 0ul);
+    EXPECT_GT(r.ffProbeDeclines, 0ul);
+    // Every probe decline lands in exactly one histogram bin.
+    ASSERT_EQ(r.ffDeclinedSpanHist.size(), kFfDeclineHistBins);
+    unsigned long hist_total = 0;
+    for (unsigned long c : r.ffDeclinedSpanHist)
+        hist_total += c;
+    EXPECT_EQ(hist_total, r.ffProbeDeclines);
+
+    std::string json = fleetResultToJson(r);
+    for (const char *key :
+         {"\"ff_not_calm_ticks\"", "\"ff_horizon_declines\"",
+          "\"ff_probe_declines\"", "\"ff_declined_span_hist\""})
+        EXPECT_NE(json.find(key), std::string::npos) << key;
 }
 
 } // namespace

@@ -161,10 +161,9 @@ TEST(ThreadPoolDeathTest, FatalAfterGlobalPoolStartedExits)
 {
     // Five lanes: four worker threads are alive when the death test
     // forks. They do not exist in the child, so its fatal() -> exit()
-    // must not join them, nor may resizing the pool there (what the
-    // fork-sharded fleet runner does). The child stays at one lane:
-    // ThreadSanitizer aborts a multi-threaded fork's child that
-    // starts threads.
+    // must not join them, nor may resizing the pool there. The child
+    // stays at one lane: ThreadSanitizer aborts a multi-threaded
+    // fork's child that starts threads.
     ThreadPool::configureGlobal(5);
     std::vector<int> items(32, 1);
     auto out = parallelMap(items, [](int v) { return v + 1; });

@@ -11,8 +11,7 @@
  *   heb_fleet [--racks N] [--workloads LIST] [--scheme NAME]
  *             [--servers N] [--hours H] [--budget-w W]
  *             [--policy static|proportional]
- *             [--fleet-mode dense|event] [--jobs N]
- *             [--shards N|auto] [--slim]
+ *             [--fleet-mode dense|event] [--jobs N] [--slim]
  *             [--out PREFIX] [--metrics-out FILE] [--prom-out FILE]
  *             [--metrics-listen PORT] [--trace-out FILE]
  *             [--trace-chrome FILE] [--trace-stride N]
@@ -50,6 +49,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,7 +132,7 @@ usage()
         "                 [--budget-w W] "
         "[--policy static|proportional] "
         "[--fleet-mode dense|event]\n"
-        "                 [--jobs N] [--shards N|auto] [--slim] "
+        "                 [--jobs N] [--slim] "
         "[--out PREFIX] "
         "[--metrics-out FILE] [--prom-out FILE]\n"
         "                 [--metrics-listen PORT] "
@@ -168,10 +168,9 @@ usage()
         "newest valid one, even under a different --jobs.\n"
         "  --result-json writes the full %%.17g fleet result "
         "document (the resume byte-identity witness)\n"
-        "  --shards N forks N worker processes, each owning a "
-        "contiguous rack range (event engine only;\n"
-        "  auto = one per core). Results stay byte-identical to "
-        "--shards 1; checkpoints resume across counts.\n");
+        "  --jobs N ticks racks on N in-process threads "
+        "(default HEB_JOBS, else one per core); results are\n"
+        "  byte-identical for every N\n");
 }
 
 } // namespace
@@ -188,7 +187,6 @@ main(int argc, char **argv)
     BudgetPolicy policy = BudgetPolicy::Proportional;
     FleetMode mode = FleetMode::Event;
     bool slim = false;
-    std::size_t shards = 1;
     std::string out_prefix;
     std::string metrics_path;
     std::string prom_path;
@@ -250,16 +248,6 @@ main(int argc, char **argv)
                 mode = FleetMode::Event;
             else
                 fatal("--fleet-mode expects dense or event");
-        } else if (!std::strcmp(argv[i], "--shards")) {
-            std::string v = need_value("--shards");
-            if (v == "auto") {
-                shards = 0;
-            } else {
-                long n = std::stol(v);
-                if (n < 1)
-                    fatal("--shards must be >= 1 (or auto)");
-                shards = static_cast<std::size_t>(n);
-            }
         } else if (!std::strcmp(argv[i], "--jobs")) {
             long n = std::stol(need_value("--jobs"));
             if (n < 1)
@@ -352,15 +340,17 @@ main(int argc, char **argv)
         obs::setProfileSpanRecording(true);
 
     // Fleet traces fan out over every rack: give the ring 1M slots
-    // so a multi-rack day at stride 1 keeps its tail.
-    obs::TraceRecorder trace(1 << 20, trace_stride);
+    // so a multi-rack day at stride 1 keeps its tail. The ring is
+    // allocated up front (64 MiB), so only a traced run builds it.
+    std::optional<obs::TraceRecorder> trace;
     if (want_trace) {
-        obs::setActiveTrace(&trace);
+        trace.emplace(1 << 20, trace_stride);
+        obs::setActiveTrace(&*trace);
         // If the run dies mid-way (fatal() or an uncaught throw),
         // still salvage the ring as JSON Lines next to the
         // requested output.
         obs::installTraceFlushOnAbort(
-            &trace, trace_path.empty()
+            &*trace, trace_path.empty()
                         ? chrome_path + ".aborted.jsonl"
                         : trace_path);
     }
@@ -418,11 +408,6 @@ main(int argc, char **argv)
 
     FleetHealthAggregator health;
     FleetOptions options{policy, mode, !slim};
-    options.shards = shards;
-    if (shards != 1 && want_trace)
-        warn("--shards > 1: rack domains live in child processes, "
-             "so their trace events never reach this process's "
-             "ring; the trace will only carry parent-side events");
     if (want_health) {
         options.health = &health;
         options.healthSampleSeconds = health_stride;
@@ -455,10 +440,6 @@ main(int argc, char **argv)
     table.addRow({"racks", std::to_string(racks)});
     table.addRow({"policy", budgetPolicyName(policy)});
     table.addRow({"engine", fleetModeName(mode)});
-    if (shards != 1)
-        table.addRow({"shards", shards == 0
-                                    ? std::string("auto")
-                                    : std::to_string(shards)});
     table.addRow({"facility budget (W)",
                   TablePrinter::num(budget_w, 0)});
     table.addRow({"facility peak (W)",
@@ -504,21 +485,21 @@ main(int argc, char **argv)
         obs::clearTraceFlushOnAbort();
         if (!trace_path.empty()) {
             if (endsWith(trace_path, ".csv"))
-                trace.writeCsv(trace_path);
+                trace->writeCsv(trace_path);
             else
-                trace.writeJsonl(trace_path);
+                trace->writeJsonl(trace_path);
             std::printf(
                 "trace: %zu events written to %s (%llu dropped, "
                 "stride %zu)\n",
-                trace.size(), trace_path.c_str(),
-                static_cast<unsigned long long>(trace.dropped()),
-                trace.tickStride());
+                trace->size(), trace_path.c_str(),
+                static_cast<unsigned long long>(trace->dropped()),
+                trace->tickStride());
         }
         if (!chrome_path.empty()) {
             obs::ChromeTraceOptions copts;
             copts.tickSeconds = cfg.tickSeconds;
             copts.includeProfile = profile;
-            obs::writeChromeTrace(trace, chrome_path, copts);
+            obs::writeChromeTrace(*trace, chrome_path, copts);
             std::printf("chrome trace written to %s "
                         "(open in Perfetto or chrome://tracing)\n",
                         chrome_path.c_str());

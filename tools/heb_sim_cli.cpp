@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "obs/manifest.h"
@@ -207,12 +208,15 @@ main(int argc, char **argv)
     if (profile && !chrome_path.empty())
         obs::setProfileSpanRecording(true);
 
-    obs::TraceRecorder trace(1 << 18, trace_stride);
+    // The ring is allocated up front (16 MiB), so only a traced run
+    // builds it.
+    std::optional<obs::TraceRecorder> trace;
     if (want_trace) {
-        obs::setActiveTrace(&trace);
+        trace.emplace(1 << 18, trace_stride);
+        obs::setActiveTrace(&*trace);
         // Salvage the ring as JSON Lines if the run dies mid-way.
         obs::installTraceFlushOnAbort(
-            &trace, trace_path.empty()
+            &*trace, trace_path.empty()
                         ? chrome_path + ".aborted.jsonl"
                         : trace_path);
     }
@@ -306,21 +310,21 @@ main(int argc, char **argv)
         obs::clearTraceFlushOnAbort();
         if (!trace_path.empty()) {
             if (endsWith(trace_path, ".csv"))
-                trace.writeCsv(trace_path);
+                trace->writeCsv(trace_path);
             else
-                trace.writeJsonl(trace_path);
+                trace->writeJsonl(trace_path);
             std::printf(
                 "trace: %zu events written to %s (%llu dropped, "
                 "stride %zu)\n",
-                trace.size(), trace_path.c_str(),
-                static_cast<unsigned long long>(trace.dropped()),
-                trace.tickStride());
+                trace->size(), trace_path.c_str(),
+                static_cast<unsigned long long>(trace->dropped()),
+                trace->tickStride());
         }
         if (!chrome_path.empty()) {
             obs::ChromeTraceOptions copts;
             copts.tickSeconds = cfg.tickSeconds;
             copts.includeProfile = profile;
-            obs::writeChromeTrace(trace, chrome_path, copts);
+            obs::writeChromeTrace(*trace, chrome_path, copts);
             std::printf("chrome trace written to %s "
                         "(open in Perfetto or chrome://tracing)\n",
                         chrome_path.c_str());
