@@ -9,8 +9,7 @@
 namespace heb {
 
 std::unique_ptr<EsdPool>
-makeScBank(double energy_wh, double dod, std::size_t modules,
-           EsdSoaArena *arena)
+makeScBank(double energy_wh, double dod, std::size_t modules)
 {
     if (energy_wh <= 0.0)
         fatal("makeScBank: energy must be positive");
@@ -19,7 +18,7 @@ makeScBank(double energy_wh, double dod, std::size_t modules,
     if (modules == 0)
         fatal("makeScBank: need at least one module");
 
-    auto pool = std::make_unique<EsdPool>("sc-bank", arena);
+    auto pool = std::make_unique<EsdPool>("sc-bank");
     double per_module = energy_wh / static_cast<double>(modules);
     for (std::size_t i = 0; i < modules; ++i) {
         ScParams p = ScParams::scaledToEnergyWh(per_module);
@@ -31,13 +30,12 @@ makeScBank(double energy_wh, double dod, std::size_t modules,
         p.vMin = std::sqrt(p.vMax * p.vMax - dod * span2);
         pool->add(std::make_unique<Supercapacitor>(p));
     }
-    pool->seal();
     return pool;
 }
 
 std::unique_ptr<EsdPool>
 makeBatteryBank(double energy_wh, double dod, std::size_t strings,
-                bool aging, EsdSoaArena *arena)
+                bool aging)
 {
     if (energy_wh <= 0.0)
         fatal("makeBatteryBank: energy must be positive");
@@ -46,7 +44,7 @@ makeBatteryBank(double energy_wh, double dod, std::size_t strings,
     if (strings == 0)
         fatal("makeBatteryBank: need at least one string");
 
-    auto pool = std::make_unique<EsdPool>("battery-bank", arena);
+    auto pool = std::make_unique<EsdPool>("battery-bank");
     double per_string_wh = energy_wh / static_cast<double>(strings);
     for (std::size_t i = 0; i < strings; ++i) {
         BatteryParams p =
@@ -56,7 +54,6 @@ makeBatteryBank(double energy_wh, double dod, std::size_t strings,
         p.agingEnabled = aging;
         pool->add(std::make_unique<Battery>(p));
     }
-    pool->seal();
     return pool;
 }
 

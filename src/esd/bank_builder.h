@@ -21,20 +21,14 @@ namespace heb {
  * Build an SC pool whose *usable* energy is @p energy_wh, then
  * throttle its usable window to @p dod (1.0 = full window).
  *
- * The pool is sealed for batched stepping; pass @p arena to register
- * its lanes in a shared arena (fleet shards) instead of a private one.
- *
  * @param modules  Number of parallel banks to split the energy over.
  */
 std::unique_ptr<EsdPool> makeScBank(double energy_wh, double dod = 1.0,
-                                    std::size_t modules = 2,
-                                    EsdSoaArena *arena = nullptr);
+                                    std::size_t modules = 2);
 
 /**
  * Build a 24 V lead-acid pool whose nominal energy is @p energy_wh
  * with its usable depth-of-discharge clamped to @p dod.
- *
- * The pool is sealed for batched stepping; see makeScBank on @p arena.
  *
  * @param strings  Number of parallel battery strings.
  * @param aging    Enable capacity-fade aging (paper §5.3).
@@ -42,7 +36,6 @@ std::unique_ptr<EsdPool> makeScBank(double energy_wh, double dod = 1.0,
 std::unique_ptr<EsdPool> makeBatteryBank(double energy_wh,
                                          double dod = 0.8,
                                          std::size_t strings = 2,
-                                         bool aging = false,
-                                         EsdSoaArena *arena = nullptr);
+                                         bool aging = false);
 
 } // namespace heb

@@ -16,10 +16,8 @@
  * plus coulombic losses produce the <80 % round-trip efficiency the
  * paper measures (Fig. 3).
  *
- * All arithmetic lives in esd_kernel.h; this class is the per-device
- * (scalar) consumer of those kernels, and the SoA batch layer
- * (soa_bank.h) is the other. Both run the identical op sequence, so
- * batched and scalar stepping agree bit for bit.
+ * All arithmetic lives in esd_kernel.h; this class holds the state
+ * and calls those kernels on it.
  */
 
 #pragma once
@@ -33,9 +31,9 @@
 namespace heb {
 
 /**
- * Snapshot of a battery's complete mutable state. Used to move a
- * device in and out of a struct-of-arrays lane without exposing the
- * members piecemeal.
+ * Snapshot of a battery's complete mutable state. Checkpoints save
+ * and restore a device through it without exposing the members
+ * piecemeal.
  */
 struct BatteryState
 {
@@ -136,7 +134,7 @@ class Battery : public EnergyStorageDevice
     /** Last flow direction: +1 discharging, -1 charging, 0 fresh. */
     int lastDirection() const { return lastDirection_; }
 
-    /** Snapshot the complete mutable state (for SoA lanes). */
+    /** Snapshot the complete mutable state (for checkpoints). */
     BatteryState state() const;
 
     /** Restore a state previously captured with state(). */

@@ -1,32 +1,19 @@
 /**
  * @file
- * Shared scalar kernels for the ESD physics.
+ * Scalar kernels for the ESD physics.
  *
  * Every floating-point expression of the KiBaM battery and the
  * ideal-capacitor supercapacitor lives here exactly once, as inline
- * functions over plain state references. Both consumers execute the
- * identical op sequence:
+ * functions over plain state references; Battery and Supercapacitor
+ * call them on their own members.
  *
- *  - the per-device classes (Battery, Supercapacitor) call these on
- *    their own members — the scalar fallback path;
- *  - the struct-of-arrays batch kernels (soa_bank.cpp) call them per
- *    lane inside contiguous loops the compiler auto-vectorizes.
- *
- * That single-source-of-truth is the byte-identity argument: batched
- * vs scalar is the *same* arithmetic on the same operands in the same
- * order, only the storage layout (AoS heap objects vs SoA lanes) and
- * the loop interleaving differ — and lanes are independent, so
- * device-major vs lane-major ordering cannot change any value.
- *
- * Branch policy: conditions that are uniform across a homogeneous
- * batch (parameters, dt) may stay as branches — the compiler hoists
- * them. Lane-dependent conditions are written as selects (ternaries)
- * over values that are safe to compute speculatively (sqrt operands
- * clamped with max(x, 0.0), which is exact whenever the operand was
- * non-negative), so the loops if-convert. Masked-out lanes perform
- * the rest() update — mathematically the same `x += 0.0` / `x *= 1.0`
- * no-ops the dense path performs, bitwise, because every accumulator
- * involved is non-negative (see DESIGN.md §13 for the full argument).
+ * Several step kernels are written branch-free: the early-outs of an
+ * inactive step (request below threshold, capability exhausted) are
+ * folded into a mask under which the step performs exactly the
+ * rest() update, and its counter adds become `+= 0.0` — bitwise
+ * no-ops, because every accumulator involved is non-negative.
+ * Conditions that depend only on (params, dt) are passed as plain
+ * bool flags (BatteryFlags).
  *
  * Reassociation, formula rewrites and fast-math remain forbidden: the
  * kernels transcribe the historical per-device code verbatim.
@@ -59,10 +46,9 @@ constexpr double kScSubStepSeconds = 1.0;
 // ====================================================================
 
 /**
- * Per-(params, dt) uniform terms shared by every lane of a
- * homogeneous batch — the same values the per-device memos
- * (KibamStepTerms / thermal alpha / rest keep) historically cached,
- * computed by the same expressions.
+ * Per-(params, dt) uniform terms — the same values the per-device
+ * memos (KibamStepTerms / thermal alpha / rest keep) historically
+ * cached, computed by the same expressions.
  */
 struct BatteryStepUniforms
 {
@@ -97,17 +83,9 @@ refreshBatteryUniforms(const BatteryParams &p, double dt_seconds,
 }
 
 /**
- * Batch-uniform branch flags. Conditions like agingEnabled or
- * tHours > 0 are the same for every lane of a homogeneous batch, but
- * a select whose condition is a loop-invariant bool defeats the loop
- * vectorizer (the comparison gets hoisted and the COND_EXPR is left
- * with an external scalar condition it cannot mask on). The kernels
- * therefore take these conditions as plain bool parameters: the
- * scalar wrappers (original signatures below) compute them at
- * runtime — exactly the historical branches — while the batch loops
- * in soa_bank.cpp dispatch once per call to bodies where the flags
- * are compile-time constants, so constant propagation deletes the
- * branches entirely and the loops vectorize.
+ * Branch conditions that depend only on (params, dt). The flagged
+ * kernels take them as parameters; the wrappers with the original
+ * signatures compute them with batteryFlags().
  */
 struct BatteryFlags
 {
@@ -125,7 +103,7 @@ batteryKibamDenom(const BatteryParams &p,
     return u.oneMinusEkt + p.kibamC * (u.kt - u.oneMinusEkt);
 }
 
-/** Runtime flag evaluation for the scalar (per-device) wrappers. */
+/** Flag evaluation for the unflagged wrappers. */
 inline BatteryFlags
 batteryFlags(const BatteryParams &p, const BatteryStepUniforms &u)
 {
@@ -142,7 +120,7 @@ struct BatteryView
     double weightedAh, tempC;
 };
 
-/** Mutable hot state of one battery, by reference (member or lane). */
+/** Mutable hot state of one battery, by reference. */
 struct BatteryRef
 {
     const BatteryParams &p;
@@ -234,7 +212,6 @@ batteryThermalChargeDerate(const BatteryView &v, bool thermal)
 {
     if (!thermal)
         return 1.0;
-    // Lane-dependent thresholds: selects, so batch loops if-convert.
     double span_derate = (v.p.chargeCutoffC - v.tempC) /
                          (v.p.chargeCutoffC - v.p.chargeDerateStartC);
     return v.tempC <= v.p.chargeDerateStartC
@@ -275,12 +252,6 @@ batteryWearWeight(const BatteryView &v, double current_a, bool aging)
 }
 
 inline double
-batteryWearWeight(const BatteryView &v, double current_a)
-{
-    return batteryWearWeight(v, current_a, v.p.agingEnabled);
-}
-
-inline double
 batteryKibamMaxDischargeCurrent(const BatteryView &v,
                                 const BatteryStepUniforms &u,
                                 bool denom_pos)
@@ -289,8 +260,6 @@ batteryKibamMaxDischargeCurrent(const BatteryView &v,
     double c = v.p.kibamC;
     double q0 = v.y1 + v.y2;
     double denom = batteryKibamDenom(v.p, u);
-    // denom_pos is uniform in (params, dt): a dead branch in the
-    // batch instantiations, the historical select in the wrappers.
     return !denom_pos
                ? 0.0
                : (k * v.y1 * u.ekt + q0 * k * c * u.oneMinusEkt) /
@@ -358,16 +327,6 @@ batteryDischargeCurrentFor(const BatteryView &v, double watts)
     if (disc < 0.0)
         return -1.0;
     return (ocv - std::sqrt(disc)) / (2.0 * r);
-}
-
-/** Current (A) that absorbs @p watts at the terminals. */
-inline double
-batteryChargeCurrentFor(const BatteryView &v, double watts)
-{
-    double r = batteryEffectiveResistance(v);
-    double ocv = batteryOpenCircuitVoltage(v);
-    return (-ocv + std::sqrt(ocv * ocv + 4.0 * r * watts)) /
-           (2.0 * r);
 }
 
 inline double
@@ -476,13 +435,6 @@ batteryStepWells(const BatteryRef &s, const BatteryStepUniforms &u,
     s.y2 = std::clamp(y2, 0.0, (1.0 - c) * cap);
 }
 
-inline void
-batteryStepWells(const BatteryRef &s, const BatteryStepUniforms &u,
-                 double current_a)
-{
-    batteryStepWells(s, u, current_a, s.p.agingEnabled);
-}
-
 /** First-order thermal update given this tick's loss power. */
 inline void
 batteryStepThermal(const BatteryRef &s, const BatteryStepUniforms &u,
@@ -493,13 +445,6 @@ batteryStepThermal(const BatteryRef &s, const BatteryStepUniforms &u,
     double target =
         s.p.ambientC + loss_w * s.p.thermalResistanceCPerW;
     s.tempC += (target - s.tempC) * u.thermalAlpha;
-}
-
-inline void
-batteryStepThermal(const BatteryRef &s, const BatteryStepUniforms &u,
-                   double loss_w)
-{
-    batteryStepThermal(s, u, loss_w, s.p.thermalEnabled);
 }
 
 /**
@@ -526,13 +471,13 @@ batteryRestStep(const BatteryRef &s, const BatteryStepUniforms &u)
 /**
  * One discharge step (dt > 0). The historical early-outs (request
  * below threshold, capability exhausted, quadratic has no root) are
- * folded into one lane mask: a masked-out lane performs exactly the
+ * folded into one mask: an inactive step performs exactly the
  * rest() update — stepWells(0), stepThermal(0), the self-discharge
  * multiply — and its counter adds become `+= 0.0`, bitwise no-ops on
- * the non-negative accumulators. An active lane performs the same
+ * the non-negative accumulators. An active step performs the same
  * ops as the historical branchy code, in the same order.
  *
- * @return Power delivered (0 for a masked-out lane).
+ * @return Power delivered (0 for an inactive step).
  */
 inline double
 batteryDischargeStep(const BatteryRef &s,
@@ -545,17 +490,14 @@ batteryDischargeStep(const BatteryRef &s,
     double r = batteryEffectiveResistance(v, f.aging);
     double ocv = batteryOpenCircuitVoltage(v, f.aging);
     double disc = ocv * ocv - 4.0 * r * pw;
-    // sqrt operand clamped so a masked-out lane (disc < 0) computes
+    // sqrt operand clamped so an inactive step (disc < 0) computes
     // a discarded finite value instead of a NaN; when disc >= 0 the
     // clamp is exact.
     double i_raw =
         (ocv - std::sqrt(std::max(disc, 0.0))) / (2.0 * r);
-    // Non-short-circuit & keeps the mask a flat bool computation:
-    // short-circuit && creates control flow that GCC tail-duplicates,
-    // which puts the counter updates under a lane-varying predicate
-    // and defeats if-conversion (no masked loads on SSE2). The
-    // operands are side-effect-free compares, so the value is the
-    // same.
+    // Non-short-circuit & keeps the mask a flat bool computation;
+    // the operands are side-effect-free compares, so the value is
+    // the same as with &&.
     bool active = (watts > kMinMeaningfulPowerW) &
                   (pw > kMinMeaningfulPowerW) & (disc >= 0.0);
     double i = active ? i_raw : 0.0;
@@ -563,8 +505,6 @@ batteryDischargeStep(const BatteryRef &s,
 
     batteryStepWells(s, u, i, f.aging);
     batteryStepThermal(s, u, active ? i * i * r : 0.0, f.thermal);
-    // Pre-loaded so the inactive arm is a register value, not a
-    // memory load the gimplifier would have to guard with a branch.
     double rest_keep = u.restKeep;
     double keep = active ? 1.0 : rest_keep;
     s.y1 *= keep;
@@ -575,9 +515,8 @@ batteryDischargeStep(const BatteryRef &s,
     s.lossEnergyWh += active ? i * i * r * dt_h : 0.0;
     s.dischargeAh += active ? i * dt_h : 0.0;
     s.weightedAh += active ? i * dt_h * weight : 0.0;
-    // Pre-load the direction so both updates are unconditional
-    // load/select/store sequences (if-convertible); values match the
-    // historical guarded updates exactly.
+    // Unconditional updates; values match the historical guarded
+    // updates exactly.
     int ld = s.lastDirection;
     s.directionChanges += (active & (ld == -1)) ? 1ul : 0ul;
     s.lastDirection = active ? 1 : ld;
@@ -592,8 +531,8 @@ batteryDischargeStep(const BatteryRef &s,
 }
 
 /**
- * One charge step (dt > 0); masked-lane contract as the discharge
- * step. @return Power absorbed (0 for a masked-out lane).
+ * One charge step (dt > 0); mask contract as the discharge step.
+ * @return Power absorbed (0 for an inactive step).
  */
 inline double
 batteryChargeStep(const BatteryRef &s, const BatteryStepUniforms &u,
@@ -606,21 +545,19 @@ batteryChargeStep(const BatteryRef &s, const BatteryStepUniforms &u,
     double ocv = batteryOpenCircuitVoltage(v, f.aging);
     double i_raw =
         (-ocv + std::sqrt(ocv * ocv + 4.0 * r * pw)) / (2.0 * r);
-    // Flat & for the same if-conversion reason as the discharge step.
+    // Flat & as in the discharge step.
     bool active = (watts > kMinMeaningfulPowerW) &
                   (pw > kMinMeaningfulPowerW);
     double i = active ? i_raw : 0.0;
     double eff = s.p.coulombicEfficiency;
     double absorbed = (ocv + i * r) * i;
 
-    // A masked-out lane passes exactly +0.0 (not -eff·0 = -0.0) so
+    // An inactive step passes exactly +0.0 (not -eff·0 = -0.0) so
     // the wells update is bit-for-bit the rest() update.
     batteryStepWells(s, u, active ? -eff * i : 0.0, f.aging);
     batteryStepThermal(
         s, u, active ? i * i * r + (1.0 - eff) * ocv * i : 0.0,
         f.thermal);
-    // Pre-loaded so the inactive arm is a register value, not a
-    // memory load the gimplifier would have to guard with a branch.
     double rest_keep = u.restKeep;
     double keep = active ? 1.0 : rest_keep;
     s.y1 *= keep;
@@ -738,12 +675,6 @@ struct ScRef
     unsigned long &directionChanges;
 };
 
-inline ScView
-scView(const ScRef &s)
-{
-    return {s.p, s.voltage, s.healthCap, s.healthRes};
-}
-
 inline double
 scEffectiveEsrOhm(const ScView &v)
 {
@@ -784,15 +715,6 @@ scDischargeCurrentFor(const ScView &v, double watts)
            (2.0 * scEffectiveEsrOhm(v));
 }
 
-/** Charge current (A) that absorbs @p watts at the terminals. */
-inline double
-scChargeCurrentFor(const ScView &v, double watts)
-{
-    double vv = v.voltage;
-    double r = scEffectiveEsrOhm(v);
-    return (-vv + std::sqrt(vv * vv + 4.0 * r * watts)) / (2.0 * r);
-}
-
 inline double
 scTerminalVoltage(const ScView &v, double load_watts)
 {
@@ -808,9 +730,7 @@ inline double
 scMaxDischargePowerW(const ScView &v, double dt_seconds, bool dt_pos)
 {
     // Current bound from the energy left before hitting the floor,
-    // spread across the requested horizon. dt_pos is batch-uniform:
-    // a dead branch in the batch instantiations, the historical
-    // select in the wrapper.
+    // spread across the requested horizon.
     double energy_bound_a =
         dt_pos ? (v.voltage - v.p.vMin) * scEffectiveCapacitanceF(v) /
                      dt_seconds
@@ -871,14 +791,13 @@ scRestStep(const ScRef &s, const ScStepUniforms &u)
 /**
  * One SC discharge sub-step of length @p step. The historical
  * per-sub-step guards (voltage at the floor, current clamped to
- * zero, request below threshold) are folded into one lane mask; a
+ * zero, request below threshold) are folded into one mask; a
  * masked sub-step leaves every accumulator bit-identical (`+= 0.0` /
  * `-= 0.0` on non-negative state). ESR/capacitance are recomputed
  * per sub-step from factors that cannot move inside a step, so the
- * products equal the historical loop-hoisted values. Shared by the
- * scalar wrapper (scDischargeStep) and the lane-inner batch loops.
+ * products equal the historical loop-hoisted values.
  *
- * @return Whether the lane actually moved charge this sub-step.
+ * @return Whether the sub-step actually moved charge.
  */
 inline bool
 scDischargeSubStep(const ScRef &s, double watts, double step,
@@ -891,14 +810,13 @@ scDischargeSubStep(const ScRef &s, double watts, double step,
     // When disc < 0 the clamp makes the sqrt term exactly +0.0 and
     // vv - 0.0 == vv bitwise, so this unconditional form reproduces
     // the historical `disc < 0 ? vv / (2 esr) : ...` branch for both
-    // cases while staying select-free.
+    // cases.
     double i0 =
         (vv - std::sqrt(std::max(disc, 0.0))) / (2.0 * esr);
     double floor_a = (vv - s.p.vMin) * capf / step;
     // Same left-to-right fold as std::min({i, maxA, floor}).
     double i = std::min(std::min(i0, s.p.maxCurrentA), floor_a);
-    // Flat & so the lane mask stays branch-free (see the battery
-    // steps); compares are side-effect-free, value unchanged.
+    // Flat & as in the battery steps.
     bool act = (watts > kMinMeaningfulPowerW) & (vv > s.p.vMin) &
                (i > 0.0);
     double i_eff = act ? i : 0.0;
@@ -936,11 +854,9 @@ scChargeSubStep(const ScRef &s, double watts, double step,
 }
 
 /**
- * One discharge step (dt > 0). The sub-step schedule (lengths and
- * count) is a pure function of dt, so it is uniform across a batch;
- * the per-sub-step guards stay lane-dependent selects. A request at
- * or below the threshold performs the rest() update, exactly as the
- * historical early-out did.
+ * One discharge step (dt > 0) in kScSubStepSeconds sub-steps. A request
+ * at or below the threshold performs the rest() update, exactly as
+ * the historical early-out did.
  */
 inline double
 scDischargeStep(const ScRef &s, const ScStepUniforms &u, double watts)
@@ -968,28 +884,6 @@ scDischargeStep(const ScRef &s, const ScStepUniforms &u, double watts)
     return delivered_wh / secondsToHours(u.dtSeconds);
 }
 
-/**
- * Sub-step-loop epilogue for a lane-inner batch discharge: applies
- * the rest update the per-lane early-out would have performed (a
- * `*= 1.0` bitwise no-op on lanes that did request power) and the
- * same accumulator/direction updates as scDischargeStep. A lane that
- * never requested power accumulated exactly +0.0, so the adds are
- * bitwise no-ops too.
- */
-inline double
-scDischargeFinalize(const ScRef &s, const ScStepUniforms &u,
-                    double watts, bool moved, double delivered_wh)
-{
-    bool req = watts > kMinMeaningfulPowerW;
-    double rest_keep = u.restKeep;
-    s.voltage *= req ? 1.0 : rest_keep;
-    s.dischargeEnergyWh += delivered_wh;
-    int ld = s.lastDirection;
-    s.directionChanges += (moved & (ld == -1)) ? 1ul : 0ul;
-    s.lastDirection = moved ? 1 : ld;
-    return delivered_wh / secondsToHours(u.dtSeconds);
-}
-
 /** One charge step (dt > 0); contract as the discharge step. */
 inline double
 scChargeStep(const ScRef &s, const ScStepUniforms &u, double watts)
@@ -1006,21 +900,6 @@ scChargeStep(const ScRef &s, const ScStepUniforms &u, double watts)
         remaining -= step;
         moved = scChargeSubStep(s, watts, step, absorbed_wh) || moved;
     }
-    s.chargeEnergyWh += absorbed_wh;
-    int ld = s.lastDirection;
-    s.directionChanges += (moved & (ld == 1)) ? 1ul : 0ul;
-    s.lastDirection = moved ? -1 : ld;
-    return absorbed_wh / secondsToHours(u.dtSeconds);
-}
-
-/** Batch epilogue for charge; see scDischargeFinalize. */
-inline double
-scChargeFinalize(const ScRef &s, const ScStepUniforms &u,
-                 double watts, bool moved, double absorbed_wh)
-{
-    bool req = watts > kMinMeaningfulPowerW;
-    double rest_keep = u.restKeep;
-    s.voltage *= req ? 1.0 : rest_keep;
     s.chargeEnergyWh += absorbed_wh;
     int ld = s.lastDirection;
     s.directionChanges += (moved & (ld == 1)) ? 1ul : 0ul;

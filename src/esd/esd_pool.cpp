@@ -1,15 +1,10 @@
 #include "esd/esd_pool.h"
 
 #include <algorithm>
-#include <typeinfo>
 
-#include "esd/battery.h"
-#include "esd/supercapacitor.h"
 #include "util/logging.h"
 
 namespace heb {
-
-namespace ek = esd_kernel;
 
 namespace {
 
@@ -40,7 +35,7 @@ class SplitBuffer
 
 } // namespace
 
-EsdPool::EsdPool(std::string name, EsdSoaArena *arena)
+EsdPool::EsdPool(std::string name)
     : name_(std::move(name)),
       dischargeWhMetric_(obs::MetricsRegistry::global().counter(
           "esd." + name_ + ".discharge_wh")),
@@ -49,203 +44,14 @@ EsdPool::EsdPool(std::string name, EsdSoaArena *arena)
       starvedTicksMetric_(obs::MetricsRegistry::global().counter(
           "esd." + name_ + ".starved_ticks_total"))
 {
-    if (soaBatchingEnabled()) {
-        if (arena) {
-            arena_ = arena;
-        } else {
-            ownedArena_ = std::make_unique<EsdSoaArena>();
-            arena_ = ownedArena_.get();
-        }
-    }
 }
-
-EsdPool::~EsdPool() = default;
 
 void
 EsdPool::add(std::unique_ptr<EnergyStorageDevice> device)
 {
     if (!device)
         fatal("EsdPool::add null device");
-    if (sealed_)
-        unseal();
     devices_.push_back(std::move(device));
-    slots_.push_back(MemberSlot{});
-    countersDirty_ = true;
-}
-
-void
-EsdPool::seal()
-{
-    if (sealed_) {
-        return;
-    }
-    sealed_ = true;
-    if (!arena_)
-        return;
-
-    // One lane group per concrete device type, defined by the first
-    // member of that type; later members join only when their params
-    // are kernel-equal (identical up to the label). Anything else —
-    // heterogeneous params, other device types — stays scalar.
-    const BatteryParams *bp = nullptr;
-    const ScParams *sp = nullptr;
-    std::vector<std::size_t> ba_members, sc_members;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const EnergyStorageDevice &d = *devices_[i];
-        if (typeid(d) == typeid(Battery)) {
-            const auto &b = static_cast<const Battery &>(d);
-            if (!bp)
-                bp = &b.params();
-            if (batteryParamsKernelEqual(*bp, b.params()))
-                ba_members.push_back(i);
-        } else if (typeid(d) == typeid(Supercapacitor)) {
-            const auto &s = static_cast<const Supercapacitor &>(d);
-            if (!sp)
-                sp = &s.params();
-            if (scParamsKernelEqual(*sp, s.params()))
-                sc_members.push_back(i);
-        }
-    }
-
-    if (!ba_members.empty()) {
-        baGroup_ = &arena_->batteryGroup(*bp);
-        baFirst_ =
-            baGroup_->addLanes(ba_members.size(), arena_->padTo());
-        baCount_ = ba_members.size();
-        for (std::size_t k = 0; k < ba_members.size(); ++k) {
-            std::size_t i = ba_members[k];
-            std::size_t lane = baFirst_ + k;
-            baGroup_->loadLane(
-                lane, static_cast<Battery &>(*devices_[i]).state());
-            slots_[i] = {SlotKind::BatteryLane, lane};
-        }
-        baCaps_.resize(baCount_);
-        baTgt_.resize(baCount_);
-        baOut_.resize(baCount_);
-    }
-    if (!sc_members.empty()) {
-        scGroup_ = &arena_->scGroup(*sp);
-        scFirst_ =
-            scGroup_->addLanes(sc_members.size(), arena_->padTo());
-        scCount_ = sc_members.size();
-        for (std::size_t k = 0; k < sc_members.size(); ++k) {
-            std::size_t i = sc_members[k];
-            std::size_t lane = scFirst_ + k;
-            scGroup_->loadLane(
-                lane,
-                static_cast<Supercapacitor &>(*devices_[i]).state());
-            slots_[i] = {SlotKind::ScLane, lane};
-        }
-        scCaps_.resize(scCount_);
-        scTgt_.resize(scCount_);
-        scOut_.resize(scCount_);
-        scWh_.resize(scCount_);
-        scMoved_.resize(scCount_);
-    }
-}
-
-void
-EsdPool::unseal()
-{
-    // Old lanes are abandoned in place (never reused; rest-stepped by
-    // arena-wide kernels, which keeps them finite). Pools are sealed
-    // once at build time, so this runs only in tests that add devices
-    // late.
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        if (slots_[i].kind != SlotKind::Scalar) {
-            syncDevice(i);
-            slots_[i] = MemberSlot{};
-        }
-    }
-    baGroup_ = nullptr;
-    scGroup_ = nullptr;
-    baFirst_ = baCount_ = 0;
-    scFirst_ = scCount_ = 0;
-    sealed_ = false;
-    countersDirty_ = true;
-}
-
-void
-EsdPool::syncDevice(std::size_t index) const
-{
-    const MemberSlot &s = slots_[index];
-    if (s.kind == SlotKind::BatteryLane) {
-        static_cast<Battery *>(devices_[index].get())
-            ->restoreState(baGroup_->storeLane(s.lane));
-    } else if (s.kind == SlotKind::ScLane) {
-        static_cast<Supercapacitor *>(devices_[index].get())
-            ->restoreState(scGroup_->storeLane(s.lane));
-    }
-}
-
-void
-EsdPool::evictDevice(std::size_t index)
-{
-    MemberSlot &s = slots_[index];
-    if (s.kind == SlotKind::Scalar)
-        return;
-    syncDevice(index);
-    // Swap-with-last compaction keeps the pool's live lanes
-    // contiguous so the batch kernels keep running over one range.
-    if (s.kind == SlotKind::BatteryLane) {
-        std::size_t last = baFirst_ + baCount_ - 1;
-        if (s.lane != last) {
-            baGroup_->copyLane(s.lane, last);
-            for (std::size_t j = 0; j < slots_.size(); ++j) {
-                if (j != index &&
-                    slots_[j].kind == SlotKind::BatteryLane &&
-                    slots_[j].lane == last) {
-                    slots_[j].lane = s.lane;
-                    break;
-                }
-            }
-        }
-        --baCount_;
-    } else {
-        std::size_t last = scFirst_ + scCount_ - 1;
-        if (s.lane != last) {
-            scGroup_->copyLane(s.lane, last);
-            for (std::size_t j = 0; j < slots_.size(); ++j) {
-                if (j != index &&
-                    slots_[j].kind == SlotKind::ScLane &&
-                    slots_[j].lane == last) {
-                    slots_[j].lane = s.lane;
-                    break;
-                }
-            }
-        }
-        --scCount_;
-    }
-    s = MemberSlot{};
-    countersDirty_ = true;
-}
-
-template <typename Op>
-void
-EsdPool::withDevice(std::size_t index, Op op)
-{
-    syncDevice(index);
-    op(*devices_[index]);
-    const MemberSlot &s = slots_[index];
-    if (s.kind == SlotKind::BatteryLane) {
-        baGroup_->loadLane(
-            s.lane, static_cast<Battery &>(*devices_[index]).state());
-    } else if (s.kind == SlotKind::ScLane) {
-        scGroup_->loadLane(
-            s.lane,
-            static_cast<Supercapacitor &>(*devices_[index]).state());
-    }
-}
-
-void
-EsdPool::withMemberDevice(
-    std::size_t index,
-    const std::function<void(EnergyStorageDevice &)> &op)
-{
-    if (index >= devices_.size())
-        panic("EsdPool device index out of range");
-    countersDirty_ = true;
-    withDevice(index, [&](EnergyStorageDevice &dev) { op(dev); });
 }
 
 EnergyStorageDevice &
@@ -253,11 +59,6 @@ EsdPool::device(std::size_t index)
 {
     if (index >= devices_.size())
         panic("EsdPool device index out of range");
-    // The caller can mutate the object arbitrarily (fault derates),
-    // so the member leaves its lane; the rest of the pool stays
-    // batched.
-    evictDevice(index);
-    countersDirty_ = true;
     return *devices_[index];
 }
 
@@ -266,29 +67,7 @@ EsdPool::device(std::size_t index) const
 {
     if (index >= devices_.size())
         panic("EsdPool device index out of range");
-    syncDevice(index);
     return *devices_[index];
-}
-
-void
-EsdPool::restMembers(double dt_seconds)
-{
-    if (dt_seconds > 0.0) {
-        if (baCount_ > 0) {
-            ek::refreshBatteryUniforms(baGroup_->params(), dt_seconds,
-                                       baUni_);
-            baGroup_->restBatch(baUni_, baFirst_, baCount_);
-        }
-        if (scCount_ > 0) {
-            ek::refreshScUniforms(scGroup_->params(), dt_seconds,
-                                  scUni_);
-            scGroup_->restBatch(scUni_, scFirst_, scCount_);
-        }
-    }
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        if (slots_[i].kind == SlotKind::Scalar)
-            devices_[i]->rest(dt_seconds);
-    }
 }
 
 double
@@ -296,22 +75,7 @@ EsdPool::discharge(double watts, double dt_seconds)
 {
     if (devices_.empty())
         return 0.0;
-    countersDirty_ = true;
     const std::size_t n = devices_.size();
-    const bool step_dt = dt_seconds > 0.0;
-    // Lane caps through the batch kernel (lane-local order), scalar
-    // caps through the virtuals — the cap is a pure function of
-    // device state, so where it is computed cannot change its value.
-    if (baCount_ > 0) {
-        ek::refreshBatteryUniforms(baGroup_->params(), dt_seconds,
-                                   baUni_);
-        baGroup_->computeDischargeCaps(baUni_, baFirst_, baCount_,
-                                       baCaps_.data());
-    }
-    if (scCount_ > 0) {
-        scGroup_->computeDischargeCaps(dt_seconds, scFirst_, scCount_,
-                                       scCaps_.data());
-    }
     // Proportional-to-capability split: each member can always honour
     // its share because share_i <= max_i. The split buffer lives on
     // the stack for typical pool sizes — this runs every tick.
@@ -319,61 +83,23 @@ EsdPool::discharge(double watts, double dt_seconds)
     double *caps = split.data();
     double total_cap = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::BatteryLane)
-            caps[i] = baCaps_[s.lane - baFirst_];
-        else if (s.kind == SlotKind::ScLane)
-            caps[i] = scCaps_[s.lane - scFirst_];
-        else
-            caps[i] = devices_[i]->maxDischargePowerW(dt_seconds);
+        caps[i] = devices_[i]->maxDischargePowerW(dt_seconds);
         total_cap += caps[i];
     }
-    double delivered = 0.0;
     if (total_cap <= 0.0 || watts <= 0.0) {
-        restMembers(dt_seconds);
+        rest(dt_seconds);
         if (watts > 0.0)
             starvedTicksMetric_.inc();
         return 0.0;
     }
     double target = std::min(watts, total_cap);
-    // Raw shares as batch targets: the kernel masks a non-positive
-    // share into exactly the rest step the scalar branch takes.
+    double delivered = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::Scalar)
-            continue;
         double share = target * caps[i] / total_cap;
-        if (s.kind == SlotKind::BatteryLane)
-            baTgt_[s.lane - baFirst_] = share;
+        if (share > 0.0)
+            delivered += devices_[i]->discharge(share, dt_seconds);
         else
-            scTgt_[s.lane - scFirst_] = share;
-    }
-    if (step_dt && baCount_ > 0) {
-        baGroup_->dischargeBatch(baUni_, baFirst_, baCount_,
-                                 baTgt_.data(), baOut_.data());
-    }
-    if (step_dt && scCount_ > 0) {
-        ek::refreshScUniforms(scGroup_->params(), dt_seconds, scUni_);
-        scGroup_->dischargeBatch(scUni_, scFirst_, scCount_,
-                                 scTgt_.data(), scOut_.data(),
-                                 scWh_.data(), scMoved_.data());
-    }
-    // Accumulate in member order so the delivered sum rounds exactly
-    // as the scalar member loop does.
-    for (std::size_t i = 0; i < n; ++i) {
-        const MemberSlot &s = slots_[i];
-        double share = target * caps[i] / total_cap;
-        if (s.kind == SlotKind::Scalar) {
-            if (share > 0.0)
-                delivered += devices_[i]->discharge(share, dt_seconds);
-            else
-                devices_[i]->rest(dt_seconds);
-        } else if (share > 0.0) {
-            double out = s.kind == SlotKind::BatteryLane
-                             ? baOut_[s.lane - baFirst_]
-                             : scOut_[s.lane - scFirst_];
-            delivered += step_dt ? out : 0.0;
-        }
+            devices_[i]->rest(dt_seconds);
     }
     dischargeWhMetric_.add(delivered * dt_seconds / 3600.0);
     if (delivered + 1e-9 < watts)
@@ -386,72 +112,26 @@ EsdPool::charge(double watts, double dt_seconds)
 {
     if (devices_.empty())
         return 0.0;
-    countersDirty_ = true;
     const std::size_t n = devices_.size();
-    const bool step_dt = dt_seconds > 0.0;
-    if (baCount_ > 0) {
-        ek::refreshBatteryUniforms(baGroup_->params(), dt_seconds,
-                                   baUni_);
-        baGroup_->computeChargeCaps(baUni_, baFirst_, baCount_,
-                                    baCaps_.data());
-    }
-    if (scCount_ > 0) {
-        scGroup_->computeChargeCaps(dt_seconds, scFirst_, scCount_,
-                                    scCaps_.data());
-    }
     SplitBuffer split(n);
     double *caps = split.data();
     double total_cap = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::BatteryLane)
-            caps[i] = baCaps_[s.lane - baFirst_];
-        else if (s.kind == SlotKind::ScLane)
-            caps[i] = scCaps_[s.lane - scFirst_];
-        else
-            caps[i] = devices_[i]->maxChargePowerW(dt_seconds);
+        caps[i] = devices_[i]->maxChargePowerW(dt_seconds);
         total_cap += caps[i];
     }
-    double absorbed = 0.0;
     if (total_cap <= 0.0 || watts <= 0.0) {
-        restMembers(dt_seconds);
+        rest(dt_seconds);
         return 0.0;
     }
     double target = std::min(watts, total_cap);
+    double absorbed = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::Scalar)
-            continue;
         double share = target * caps[i] / total_cap;
-        if (s.kind == SlotKind::BatteryLane)
-            baTgt_[s.lane - baFirst_] = share;
+        if (share > 0.0)
+            absorbed += devices_[i]->charge(share, dt_seconds);
         else
-            scTgt_[s.lane - scFirst_] = share;
-    }
-    if (step_dt && baCount_ > 0) {
-        baGroup_->chargeBatch(baUni_, baFirst_, baCount_,
-                              baTgt_.data(), baOut_.data());
-    }
-    if (step_dt && scCount_ > 0) {
-        ek::refreshScUniforms(scGroup_->params(), dt_seconds, scUni_);
-        scGroup_->chargeBatch(scUni_, scFirst_, scCount_,
-                              scTgt_.data(), scOut_.data(),
-                              scWh_.data(), scMoved_.data());
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const MemberSlot &s = slots_[i];
-        double share = target * caps[i] / total_cap;
-        if (s.kind == SlotKind::Scalar) {
-            if (share > 0.0)
-                absorbed += devices_[i]->charge(share, dt_seconds);
-            else
-                devices_[i]->rest(dt_seconds);
-        } else if (share > 0.0) {
-            double out = s.kind == SlotKind::BatteryLane
-                             ? baOut_[s.lane - baFirst_]
-                             : scOut_[s.lane - scFirst_];
-            absorbed += step_dt ? out : 0.0;
-        }
+            devices_[i]->rest(dt_seconds);
     }
     chargeWhMetric_.add(absorbed * dt_seconds / 3600.0);
     return absorbed;
@@ -460,7 +140,8 @@ EsdPool::charge(double watts, double dt_seconds)
 void
 EsdPool::rest(double dt_seconds)
 {
-    restMembers(dt_seconds);
+    for (auto &d : devices_)
+        d->rest(dt_seconds);
 }
 
 void
@@ -469,54 +150,22 @@ EsdPool::advanceQuiescent(std::size_t ticks, double dt_seconds)
     // Members are independent, so device-major order produces the
     // same per-device state as the tick-major interleaving of n
     // rest() fan-outs — and lets each member use its own shortcut.
-    if (dt_seconds > 0.0 && ticks > 0) {
-        if (baCount_ > 0) {
-            ek::refreshBatteryUniforms(baGroup_->params(), dt_seconds,
-                                       baUni_);
-            baGroup_->advanceQuiescentBatch(baUni_, ticks, baFirst_,
-                                            baCount_);
-        }
-        if (scCount_ > 0) {
-            ek::refreshScUniforms(scGroup_->params(), dt_seconds,
-                                  scUni_);
-            scGroup_->advanceQuiescentBatch(scUni_, ticks, scFirst_,
-                                            scCount_);
-        }
-    }
-    advanceQuiescentScalarOnly(ticks, dt_seconds);
-}
-
-void
-EsdPool::advanceQuiescentScalarOnly(std::size_t ticks,
-                                    double dt_seconds)
-{
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        if (slots_[i].kind == SlotKind::Scalar)
-            devices_[i]->advanceQuiescent(ticks, dt_seconds);
-    }
+    for (auto &d : devices_)
+        d->advanceQuiescent(ticks, dt_seconds);
 }
 
 double
 EsdPool::usableEnergyWh() const
 {
     double acc = 0.0;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::BatteryLane)
-            acc += baGroup_->laneUsableEnergyWh(s.lane);
-        else if (s.kind == SlotKind::ScLane)
-            acc += scGroup_->laneUsableEnergyWh(s.lane);
-        else
-            acc += devices_[i]->usableEnergyWh();
-    }
+    for (const auto &d : devices_)
+        acc += d->usableEnergyWh();
     return acc;
 }
 
 double
 EsdPool::capacityWh() const
 {
-    // Rated capacity depends only on the immutable params, so the
-    // member objects are authoritative even for batched members.
     double acc = 0.0;
     for (const auto &d : devices_)
         acc += d->capacityWh();
@@ -530,17 +179,8 @@ EsdPool::soc() const
     if (cap <= 0.0)
         return 0.0;
     double acc = 0.0;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const MemberSlot &s = slots_[i];
-        double member_soc;
-        if (s.kind == SlotKind::BatteryLane)
-            member_soc = baGroup_->laneSoc(s.lane);
-        else if (s.kind == SlotKind::ScLane)
-            member_soc = scGroup_->laneSoc(s.lane);
-        else
-            member_soc = devices_[i]->soc();
-        acc += member_soc * devices_[i]->capacityWh();
-    }
+    for (const auto &d : devices_)
+        acc += d->soc() * d->capacityWh();
     return acc / cap;
 }
 
@@ -551,35 +191,18 @@ EsdPool::terminalVoltage(double load_watts) const
         return 0.0;
     // Report the weakest member's terminal voltage under its share of
     // the load: the first point the system would brown out.
-    ek::BatteryStepUniforms one_sec;
-    if (baCount_ > 0)
-        ek::refreshBatteryUniforms(baGroup_->params(), 1.0, one_sec);
     double total_cap = 0.0;
     std::vector<double> caps(devices_.size());
     for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::BatteryLane)
-            caps[i] = baGroup_->laneMaxDischargePowerW(s.lane, one_sec);
-        else if (s.kind == SlotKind::ScLane)
-            caps[i] = scGroup_->laneMaxDischargePowerW(s.lane, 1.0);
-        else
-            caps[i] = devices_[i]->maxDischargePowerW(1.0);
+        caps[i] = devices_[i]->maxDischargePowerW(1.0);
         total_cap += caps[i];
     }
-    auto member_voltage = [&](std::size_t i, double watts) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::BatteryLane)
-            return baGroup_->laneTerminalVoltage(s.lane, watts);
-        if (s.kind == SlotKind::ScLane)
-            return scGroup_->laneTerminalVoltage(s.lane, watts);
-        return devices_[i]->terminalVoltage(watts);
-    };
-    double v_min = member_voltage(0, 0.0);
+    double v_min = devices_[0]->terminalVoltage(0.0);
     for (std::size_t i = 0; i < devices_.size(); ++i) {
         double share = total_cap > 0.0
                            ? load_watts * caps[i] / total_cap
                            : 0.0;
-        v_min = std::min(v_min, member_voltage(i, share));
+        v_min = std::min(v_min, devices_[i]->terminalVoltage(share));
     }
     return v_min;
 }
@@ -587,58 +210,26 @@ EsdPool::terminalVoltage(double load_watts) const
 double
 EsdPool::maxDischargePowerW(double dt_seconds) const
 {
-    if (baCount_ > 0)
-        ek::refreshBatteryUniforms(baGroup_->params(), dt_seconds,
-                                   baUni_);
     double acc = 0.0;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::BatteryLane)
-            acc += baGroup_->laneMaxDischargePowerW(s.lane, baUni_);
-        else if (s.kind == SlotKind::ScLane)
-            acc += scGroup_->laneMaxDischargePowerW(s.lane, dt_seconds);
-        else
-            acc += devices_[i]->maxDischargePowerW(dt_seconds);
-    }
+    for (const auto &d : devices_)
+        acc += d->maxDischargePowerW(dt_seconds);
     return acc;
 }
 
 double
 EsdPool::maxChargePowerW(double dt_seconds) const
 {
-    if (baCount_ > 0)
-        ek::refreshBatteryUniforms(baGroup_->params(), dt_seconds,
-                                   baUni_);
     double acc = 0.0;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const MemberSlot &s = slots_[i];
-        if (s.kind == SlotKind::BatteryLane)
-            acc += baGroup_->laneMaxChargePowerW(s.lane, baUni_);
-        else if (s.kind == SlotKind::ScLane)
-            acc += scGroup_->laneMaxChargePowerW(s.lane, dt_seconds);
-        else
-            acc += devices_[i]->maxChargePowerW(dt_seconds);
-    }
+    for (const auto &d : devices_)
+        acc += d->maxChargePowerW(dt_seconds);
     return acc;
 }
 
 bool
 EsdPool::depleted(double dt_seconds) const
 {
-    if (baCount_ > 0)
-        ek::refreshBatteryUniforms(baGroup_->params(), dt_seconds,
-                                   baUni_);
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const MemberSlot &s = slots_[i];
-        bool member_depleted;
-        if (s.kind == SlotKind::BatteryLane)
-            member_depleted = baGroup_->laneDepleted(s.lane, baUni_);
-        else if (s.kind == SlotKind::ScLane)
-            member_depleted =
-                scGroup_->laneDepleted(s.lane, dt_seconds);
-        else
-            member_depleted = devices_[i]->depleted(dt_seconds);
-        if (!member_depleted)
+    for (const auto &d : devices_) {
+        if (!d->depleted(dt_seconds))
             return false;
     }
     return true;
@@ -649,85 +240,49 @@ EsdPool::lifetimeFractionUsed() const
 {
     // The pool wears out when its most-worn member does.
     double worst = 0.0;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const MemberSlot &s = slots_[i];
-        double f;
-        if (s.kind == SlotKind::BatteryLane)
-            f = baGroup_->laneLifetimeFraction(s.lane);
-        else if (s.kind == SlotKind::ScLane)
-            f = scGroup_->laneLifetimeFraction(s.lane);
-        else
-            f = devices_[i]->lifetimeFractionUsed();
-        worst = std::max(worst, f);
-    }
+    for (const auto &d : devices_)
+        worst = std::max(worst, d->lifetimeFractionUsed());
     return worst;
-}
-
-void
-EsdPool::refreshCounters() const
-{
-    if (!countersDirty_)
-        return;
-    aggregate_ = EsdCounters{};
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const MemberSlot &s = slots_[i];
-        EsdCounters lane_c;
-        const EsdCounters *c;
-        if (s.kind == SlotKind::BatteryLane) {
-            lane_c = baGroup_->laneCounters(s.lane);
-            c = &lane_c;
-        } else if (s.kind == SlotKind::ScLane) {
-            lane_c = scGroup_->laneCounters(s.lane);
-            c = &lane_c;
-        } else {
-            c = &devices_[i]->counters();
-        }
-        aggregate_.chargeEnergyWh += c->chargeEnergyWh;
-        aggregate_.dischargeEnergyWh += c->dischargeEnergyWh;
-        aggregate_.lossEnergyWh += c->lossEnergyWh;
-        aggregate_.dischargeAh += c->dischargeAh;
-        aggregate_.chargeAh += c->chargeAh;
-        aggregate_.directionChanges += c->directionChanges;
-    }
-    countersDirty_ = false;
 }
 
 const EsdCounters &
 EsdPool::counters() const
 {
-    refreshCounters();
+    // Re-summed on every read: members move on every step, and a
+    // pool has a handful of them.
+    aggregate_ = EsdCounters{};
+    for (const auto &d : devices_) {
+        const EsdCounters &c = d->counters();
+        aggregate_.chargeEnergyWh += c.chargeEnergyWh;
+        aggregate_.dischargeEnergyWh += c.dischargeEnergyWh;
+        aggregate_.lossEnergyWh += c.lossEnergyWh;
+        aggregate_.dischargeAh += c.dischargeAh;
+        aggregate_.chargeAh += c.chargeAh;
+        aggregate_.directionChanges += c.directionChanges;
+    }
     return aggregate_;
 }
 
 void
 EsdPool::reset()
 {
-    for (std::size_t i = 0; i < devices_.size(); ++i)
-        withDevice(i, [](EnergyStorageDevice &d) { d.reset(); });
-    countersDirty_ = true;
+    for (auto &d : devices_)
+        d->reset();
 }
 
 void
 EsdPool::setSoc(double soc)
 {
-    for (std::size_t i = 0; i < devices_.size(); ++i)
-        withDevice(i,
-                   [soc](EnergyStorageDevice &d) { d.setSoc(soc); });
-    countersDirty_ = true;
+    for (auto &d : devices_)
+        d->setSoc(soc);
 }
 
 void
 EsdPool::applyHealthDerate(double capacity_factor,
                            double resistance_factor)
 {
-    // A pool-wide derate keeps every member in its lane: the state
-    // round-trips through the member object and back.
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        withDevice(i, [&](EnergyStorageDevice &d) {
-            d.applyHealthDerate(capacity_factor, resistance_factor);
-        });
-    }
-    countersDirty_ = true;
+    for (auto &d : devices_)
+        d->applyHealthDerate(capacity_factor, resistance_factor);
 }
 
 } // namespace heb

@@ -8,28 +8,15 @@
  * proportion to what each can source/sink, which is both physical
  * (parallel strings share current by impedance) and optimal for a
  * single step.
- *
- * Batched stepping: after seal(), members that are plain Battery /
- * Supercapacitor devices with kernel-equal parameters live in
- * struct-of-arrays lanes (soa_bank.h) and the per-tick hot paths step
- * them with one batch kernel per device type instead of one virtual
- * call per member. Results are bit-for-bit the scalar results
- * (DESIGN.md §13). Heterogeneous members stay scalar, and any member
- * handed out through the non-const device() accessor is evicted from
- * its lane back to its own object — a faulted/derated outlier drops
- * out of the batch while the rest of the pool stays vectorized.
  */
 
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "esd/energy_storage.h"
-#include "esd/soa_bank.h"
 #include "obs/metrics.h"
 
 namespace heb {
@@ -38,54 +25,18 @@ namespace heb {
 class EsdPool : public EnergyStorageDevice
 {
   public:
-    /**
-     * Construct an empty pool with a label. With batching enabled,
-     * lanes are registered in @p arena when given (fleet shards share
-     * one arena per worker so a single kernel invocation can step all
-     * racks' devices); otherwise the pool owns a private arena.
-     */
-    explicit EsdPool(std::string name, EsdSoaArena *arena = nullptr);
-    ~EsdPool() override;
+    /** Construct an empty pool with a label. */
+    explicit EsdPool(std::string name);
 
     /** Add a device to the pool (pool takes ownership). */
     void add(std::unique_ptr<EnergyStorageDevice> device);
 
-    /**
-     * Move eligible members into SoA lanes. Call once after the last
-     * add(); idempotent, and a no-op when batching is disabled.
-     * Members join a lane group when their concrete type is exactly
-     * Battery/Supercapacitor and their parameters are kernel-equal to
-     * the first member of that type; everything else stays scalar.
-     */
-    void seal();
-
     /** Number of member devices. */
     std::size_t deviceCount() const { return devices_.size(); }
 
-    /**
-     * Lanes currently stepped through batch kernels (tests/bench).
-     */
-    std::size_t batchedLaneCount() const { return baCount_ + scCount_; }
-
-    /**
-     * Access member @p index (for tests and detailed logging). The
-     * const overload syncs the member object with its lane; the
-     * non-const overload also evicts the member from its lane, since
-     * the caller may mutate it arbitrarily (fault derates).
-     */
+    /** Access member @p index (for tests and detailed logging). */
     EnergyStorageDevice &device(std::size_t index);
     const EnergyStorageDevice &device(std::size_t index) const;
-
-    /**
-     * Run @p op against member @p index without evicting it from its
-     * batch lane: the lane state is synced into the member object,
-     * @p op may mutate it, and the result is re-uploaded to the lane.
-     * Checkpoint restore uses this so a resumed pool keeps the same
-     * lane population as an uninterrupted run.
-     */
-    void withMemberDevice(
-        std::size_t index,
-        const std::function<void(EnergyStorageDevice &)> &op);
 
     const std::string &name() const override { return name_; }
 
@@ -94,14 +45,6 @@ class EsdPool : public EnergyStorageDevice
     void rest(double dt_seconds) override;
     void advanceQuiescent(std::size_t ticks,
                           double dt_seconds) override;
-
-    /**
-     * Quiescent-advance only the members *outside* the batch lanes.
-     * The fleet slim path uses this after the shared arena has
-     * already advanced every lane of the shard in one kernel.
-     */
-    void advanceQuiescentScalarOnly(std::size_t ticks,
-                                    double dt_seconds);
 
     double usableEnergyWh() const override;
     double capacityWh() const override;
@@ -120,57 +63,9 @@ class EsdPool : public EnergyStorageDevice
                            double resistance_factor) override;
 
   private:
-    /** Where a member's mutable state lives. */
-    enum class SlotKind : std::uint8_t { Scalar, BatteryLane, ScLane };
-
-    struct MemberSlot
-    {
-        SlotKind kind = SlotKind::Scalar;
-        std::size_t lane = 0; ///< Absolute lane in its group.
-    };
-
-    /** Copy lane state into the member's device object. */
-    void syncDevice(std::size_t index) const;
-
-    /** Sync, then return the member to scalar stepping for good. */
-    void evictDevice(std::size_t index);
-
-    /** Return every member to scalar stepping (add-after-seal). */
-    void unseal();
-
-    /** Rest every member (batch lanes batched, the rest scalar). */
-    void restMembers(double dt_seconds);
-
-    /** Sync member @p index, run @p op on the object, re-upload. */
-    template <typename Op> void withDevice(std::size_t index, Op op);
-
-    /** Re-sum the member counters into the cached aggregate. */
-    void refreshCounters() const;
-
     std::string name_;
     std::vector<std::unique_ptr<EnergyStorageDevice>> devices_;
     mutable EsdCounters aggregate_;
-    mutable bool countersDirty_ = true;
-
-    // Batching. arena_ is null when batching is off; ownedArena_ is
-    // set when no shared arena was supplied. Slots parallel devices_.
-    std::unique_ptr<EsdSoaArena> ownedArena_;
-    EsdSoaArena *arena_ = nullptr;
-    bool sealed_ = false;
-    std::vector<MemberSlot> slots_;
-    BatterySoaGroup *baGroup_ = nullptr;
-    ScSoaGroup *scGroup_ = nullptr;
-    std::size_t baFirst_ = 0, baCount_ = 0;
-    std::size_t scFirst_ = 0, scCount_ = 0;
-    // Per-pool uniforms memos for batch kernels (pool-local so
-    // parallel racks sharing an arena never race on a memo).
-    mutable esd_kernel::BatteryStepUniforms baUni_;
-    mutable esd_kernel::ScStepUniforms scUni_;
-    // Pool-owned batch scratch, lane-local index order. Pool-owned
-    // for the same reason as the memos.
-    mutable std::vector<double> baCaps_, baTgt_, baOut_;
-    mutable std::vector<double> scCaps_, scTgt_, scOut_, scWh_;
-    std::vector<double> scMoved_;
 
     // Telemetry handles, registered once per pool name; updates are
     // O(1) and gated on the global telemetry level.

@@ -8,10 +8,8 @@
  * (90-95 %, paper Fig. 3), and there is no charge-current ceiling
  * beyond the bank's conservative absolute rating.
  *
- * All arithmetic lives in esd_kernel.h; this class is the per-device
- * (scalar) consumer, and the SoA batch layer (soa_bank.h) is the
- * other. Both run the identical op sequence, so batched and scalar
- * stepping agree bit for bit.
+ * All arithmetic lives in esd_kernel.h; this class holds the state
+ * and calls those kernels on it.
  */
 
 #pragma once
@@ -25,8 +23,8 @@
 namespace heb {
 
 /**
- * Snapshot of a supercapacitor's complete mutable state. Used to move
- * a device in and out of a struct-of-arrays lane.
+ * Snapshot of a supercapacitor's complete mutable state, for
+ * checkpoints.
  */
 struct ScState
 {
@@ -87,7 +85,7 @@ class Supercapacitor : public EnergyStorageDevice
     /** Last flow direction: +1 discharging, -1 charging, 0 fresh. */
     int lastDirection() const { return lastDirection_; }
 
-    /** Snapshot the complete mutable state (for SoA lanes). */
+    /** Snapshot the complete mutable state (for checkpoints). */
     ScState state() const;
 
     /** Restore a state previously captured with state(). */

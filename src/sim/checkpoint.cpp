@@ -453,8 +453,6 @@ savePool(CheckpointWriter &writer, const std::string &key,
          const EsdPool &pool)
 {
     for (std::size_t i = 0; i < pool.deviceCount(); ++i) {
-        // The const accessor syncs the member with its SoA lane
-        // without evicting it, so saving preserves lane population.
         const EnergyStorageDevice &dev = pool.device(i);
         std::vector<double> v;
         if (const auto *ba = dynamic_cast<const Battery *>(&dev)) {
@@ -477,7 +475,7 @@ savePool(CheckpointWriter &writer, const std::string &key,
     }
 }
 
-/** Restore one pool lane-preservingly via withMemberDevice(). */
+/** Restore every member of one pool in place. */
 void
 loadPool(const CheckpointReader &reader, const std::string &key,
          EsdPool &pool)
@@ -485,41 +483,39 @@ loadPool(const CheckpointReader &reader, const std::string &key,
     for (std::size_t i = 0; i < pool.deviceCount(); ++i) {
         std::vector<double> v =
             reader.getDoubles(key + "." + std::to_string(i));
-        pool.withMemberDevice(i, [&](EnergyStorageDevice &dev) {
-            std::size_t pos = 0;
-            if (auto *ba = dynamic_cast<Battery *>(&dev)) {
-                if (v.size() != kBatteryValueCount)
-                    fatal("checkpoint: battery state '", key, ".",
-                          i, "' has ", v.size(), " values, want ",
-                          kBatteryValueCount);
-                BatteryState s;
-                s.y1 = v[pos++];
-                s.y2 = v[pos++];
-                s.healthCap = v[pos++];
-                s.healthRes = v[pos++];
-                s.weightedAh = v[pos++];
-                s.tempC = v[pos++];
-                s.lastDirection = static_cast<int>(v[pos++]);
-                s.counters = popCounters(v, pos);
-                ba->restoreState(s);
-            } else if (auto *sc =
-                           dynamic_cast<Supercapacitor *>(&dev)) {
-                if (v.size() != kScValueCount)
-                    fatal("checkpoint: supercap state '", key, ".",
-                          i, "' has ", v.size(), " values, want ",
-                          kScValueCount);
-                ScState s;
-                s.voltage = v[pos++];
-                s.healthCap = v[pos++];
-                s.healthRes = v[pos++];
-                s.lastDirection = static_cast<int>(v[pos++]);
-                s.counters = popCounters(v, pos);
-                sc->restoreState(s);
-            } else {
-                panic("checkpoint: pool member ", dev.name(),
-                      " is neither Battery nor Supercapacitor");
-            }
-        });
+        EnergyStorageDevice &dev = pool.device(i);
+        std::size_t pos = 0;
+        if (auto *ba = dynamic_cast<Battery *>(&dev)) {
+            if (v.size() != kBatteryValueCount)
+                fatal("checkpoint: battery state '", key, ".", i,
+                      "' has ", v.size(), " values, want ",
+                      kBatteryValueCount);
+            BatteryState s;
+            s.y1 = v[pos++];
+            s.y2 = v[pos++];
+            s.healthCap = v[pos++];
+            s.healthRes = v[pos++];
+            s.weightedAh = v[pos++];
+            s.tempC = v[pos++];
+            s.lastDirection = static_cast<int>(v[pos++]);
+            s.counters = popCounters(v, pos);
+            ba->restoreState(s);
+        } else if (auto *sc = dynamic_cast<Supercapacitor *>(&dev)) {
+            if (v.size() != kScValueCount)
+                fatal("checkpoint: supercap state '", key, ".", i,
+                      "' has ", v.size(), " values, want ",
+                      kScValueCount);
+            ScState s;
+            s.voltage = v[pos++];
+            s.healthCap = v[pos++];
+            s.healthRes = v[pos++];
+            s.lastDirection = static_cast<int>(v[pos++]);
+            s.counters = popCounters(v, pos);
+            sc->restoreState(s);
+        } else {
+            panic("checkpoint: pool member ", dev.name(),
+                  " is neither Battery nor Supercapacitor");
+        }
     }
 }
 

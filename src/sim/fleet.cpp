@@ -251,37 +251,13 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
         shared_plan = &plan;
     }
 
-    // Shared SoA arenas, one per worker shard, on the slim event
-    // path: racks of a shard register their bank lanes side by side
-    // so a bank-idle span advances every battery (then every SC) of
-    // the shard with one batch-kernel invocation. Racks tick in
-    // parallel, so ranges are padded a cache line apart; the full
-    // (keepPerRackResults) path keeps per-pool private arenas to
-    // stay bit-identical in memory layout with single-rack runs.
-    const bool use_arenas = options_.mode == FleetMode::Event &&
-                            !options_.keepPerRackResults &&
-                            soaBatchingEnabled();
-    std::vector<std::unique_ptr<EsdSoaArena>> arenas;
-    if (use_arenas) {
-        std::size_t shards = std::min(
-            racks.size(),
-            std::max<std::size_t>(1, ThreadPool::global().jobs()));
-        arenas.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s)
-            arenas.push_back(std::make_unique<EsdSoaArena>(true));
-    }
-
     std::vector<std::unique_ptr<RackDomain>> domains;
     domains.reserve(racks.size());
     for (std::size_t r = 0; r < racks.size(); ++r) {
         const RackSpec &spec = racks[r];
-        EsdSoaArena *arena =
-            use_arenas
-                ? arenas[r * arenas.size() / racks.size()].get()
-                : nullptr;
         domains.push_back(std::make_unique<RackDomain>(
             config_, *spec.workload, *spec.scheme, spec.name,
-            shared_plan, arena));
+            shared_plan));
         // Rack index = trace track: every event this domain records
         // lands on its own timeline in the Chrome trace.
         domains.back()->setTraceTrack(
@@ -392,8 +368,6 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
         return w.payload();
     };
 
-    // Serial by design: checkpointSave syncs bank lanes out of the
-    // (possibly shared) SoA arenas, which must not race.
     auto write_fleet_checkpoint = [&](std::uint64_t at_tick) {
         bool ok = true;
         for (std::size_t r = 0; r < n; ++r)
@@ -668,32 +642,21 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             continue;
         }
 
-        // When every rack's span is bank-idle, hoist the bank
-        // stepping out of the per-rack commits: one serial kernel
-        // invocation per shard arena advances every battery (then
-        // every SC) of the fleet. The per-lane op sequence is the
-        // per-device rest loop's, so the commits see bit-identical
-        // bank state.
-        bool prestep = !arenas.empty();
-        if (prestep) {
-            for (std::size_t r = 0; r < n && prestep; ++r)
-                prestep = domains[r]->banksIdleForSpan(alloc_ff[r]);
-        }
-        if (prestep) {
-            for (auto &arena : arenas)
-                arena->advanceQuiescentAll(span, dt);
-            ++result.shardKernelSpans;
-        }
-
         for (std::size_t r = 0; r < n; ++r) {
             recorders[r].draws.clear();
             recorders[r].draws.reserve(span);
         }
-        parallelMap(idx, [&](std::size_t r) {
-            domains[r]->fastForwardCommit(span, alloc_ff[r],
-                                          recorders[r], prestep);
-            return 0;
-        });
+        // Commits report whether their banks sat idle for the span.
+        std::vector<int> idle =
+            parallelMap(idx, [&](std::size_t r) {
+                return domains[r]->fastForwardCommit(
+                           span, alloc_ff[r], recorders[r])
+                           ? 1
+                           : 0;
+            });
+        if (std::all_of(idle.begin(), idle.end(),
+                        [](int i) { return i != 0; }))
+            ++result.shardKernelSpans;
 
         // Facility peak: re-sum each span tick in rack order — the
         // same addition order as the dense accumulation above.

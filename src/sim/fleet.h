@@ -180,9 +180,10 @@ struct FleetResult
     unsigned long denseTicks = 0;
 
     /**
-     * Macro-ticks where every rack was bank-idle and the shard
-     * arenas advanced all batteries/SCs of the fleet with one batch
-     * kernel per shard (event engine, slim path, batching on).
+     * Committed macro-ticks on which every rack was bank-idle: each
+     * commit advanced its banks in one advanceQuiescent() call
+     * instead of per-tick charge dispatch (event engine only). The
+     * historical name is kept for the JSON and checkpoint keys.
      */
     unsigned long shardKernelSpans = 0;
 
@@ -236,9 +237,8 @@ class FleetSimulator
      * ("fleet-<tick>-rack<r>.ckpt") plus a manifest
      * ("fleet-<tick>.ckpt") written last, so a valid manifest
      * implies a complete shard set. Restore works across a
-     * different --jobs count: SoA arenas are rebuilt for the new
-     * shard layout and batch stepping is bitwise-identical to
-     * scalar, so the final FleetResult stays byte-identical at
+     * different --jobs count: results never depend on the job
+     * count, so the final FleetResult stays byte-identical at
      * %.17g.
      */
     FleetResult run(const std::vector<RackSpec> &racks,

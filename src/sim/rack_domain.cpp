@@ -52,21 +52,19 @@ struct DomainMetrics
 };
 
 std::unique_ptr<EsdPool>
-buildScBank(const SimConfig &config, bool hybrid,
-            EsdSoaArena *arena = nullptr)
+buildScBank(const SimConfig &config, bool hybrid)
 {
     return makeScBank(hybrid ? config.scEnergyWh : 1e-3,
-                      config.scDod, 2, arena);
+                      config.scDod, 2);
 }
 
 std::unique_ptr<EsdPool>
-buildBaBank(const SimConfig &config, bool hybrid,
-            EsdSoaArena *arena = nullptr)
+buildBaBank(const SimConfig &config, bool hybrid)
 {
     double wh =
         hybrid ? config.baEnergyWh : config.totalBufferWh();
     return makeBatteryBank(wh, config.baDod, 2,
-                           config.batteryAging, arena);
+                           config.batteryAging);
 }
 
 } // namespace
@@ -74,12 +72,11 @@ buildBaBank(const SimConfig &config, bool hybrid,
 RackDomain::RackDomain(const SimConfig &config,
                        const Workload &workload,
                        ManagementScheme &scheme, std::string name,
-                       const fault::FaultPlan *shared_plan,
-                       EsdSoaArena *arena)
+                       const fault::FaultPlan *shared_plan)
     : config_(config), workload_(workload), name_(std::move(name)),
       hybrid_(scheme.usesHybridBuffers()),
-      scBank_(buildScBank(config, hybrid_, arena)),
-      baBank_(buildBaBank(config, hybrid_, arena)),
+      scBank_(buildScBank(config, hybrid_)),
+      baBank_(buildBaBank(config, hybrid_)),
       cluster_(config.numServers, config.serverParams),
       topology_(config.topology, config.deployment,
                 std::max(1000.0, cluster_.nameplatePeakW())),
@@ -602,24 +599,8 @@ RackDomain::fastForwardCheck(std::size_t n_ticks, double supply_w)
 }
 
 bool
-RackDomain::banksIdleForSpan(double supply_w) const
-{
-    const double t1 =
-        static_cast<double>(tickIndex_) * config_.tickSeconds;
-    if (!topology_.bufferStageAvailable(t1))
-        return true;
-    double soft_cap = supply_w;
-    if (config_.peakShavingTargetW > 0.0)
-        soft_cap = std::min(supply_w, config_.peakShavingTargetW);
-    double surplus = soft_cap - cachedDemand_;
-    double eff_c = topology_.chargePathEfficiency(surplus);
-    return surplus * eff_c <= 0.0;
-}
-
-void
 RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
-                              PowerSource &draw_sink,
-                              bool banks_prestepped)
+                              PowerSource &draw_sink)
 {
     HEB_PROF_SCOPE("sim.fast_forward");
     obs::ScopedTraceTrack track(traceTrack_);
@@ -656,21 +637,16 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
     double interval_sc_wh = 0.0;
     double interval_ba_wh = 0.0;
 
-    if (!buffer_up || surplus * eff_c <= 0.0) {
+    const bool banks_idle = !buffer_up || surplus * eff_c <= 0.0;
+    if (banks_idle) {
         // Banks idle the whole interval — tripped converter, or a
         // charge dispatch with nothing to push (dispatchCharge with a
         // non-positive target rests both banks and every charge-side
         // ledger add is += 0.0, a bitwise no-op on the non-negative
         // accumulators). The devices advance their dynamics in one
-        // macro call — or none at all when the caller already ran
-        // them through a shared-arena kernel.
-        if (banks_prestepped) {
-            scBank_->advanceQuiescentScalarOnly(n, dt);
-            baBank_->advanceQuiescentScalarOnly(n, dt);
-        } else {
-            scBank_->advanceQuiescent(n, dt);
-            baBank_->advanceQuiescent(n, dt);
-        }
+        // macro call.
+        scBank_->advanceQuiescent(n, dt);
+        baBank_->advanceQuiescent(n, dt);
         for (std::size_t j = 0; j < n; ++j) {
             double now =
                 static_cast<double>(tickIndex_ + j) * dt;
@@ -692,10 +668,6 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
             interval_source_wh += source_draw * dt_h;
         }
     } else {
-        if (banks_prestepped) {
-            fatal("fastForwardCommit: banks prestepped but the span "
-                  "is not bank-idle");
-        }
         for (std::size_t j = 0; j < n; ++j) {
             double now =
                 static_cast<double>(tickIndex_ + j) * dt;
@@ -754,6 +726,7 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
                     interval_source_wh, interval_sc_wh,
                     interval_ba_wh});
     }
+    return banks_idle;
 }
 
 void

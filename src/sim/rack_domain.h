@@ -66,14 +66,10 @@ class RackDomain
      *                     just avoids redundant work when the caller
      *                     already built the plan (e.g. for ATS
      *                     forced-open wiring).
-     * @param arena        Shared SoA arena to register this domain's
-     *                     bank lanes in (fleet shards); null gives
-     *                     each pool a private arena.
      */
     RackDomain(const SimConfig &config, const Workload &workload,
                ManagementScheme &scheme, std::string name,
-               const fault::FaultPlan *shared_plan = nullptr,
-               EsdSoaArena *arena = nullptr);
+               const fault::FaultPlan *shared_plan = nullptr);
 
     /**
      * Compute (and cache) this tick's wall demand. Must be called
@@ -132,27 +128,17 @@ class RackDomain
     bool fastForwardCheck(std::size_t n_ticks, double supply_w);
 
     /**
-     * True when the span vetted by the immediately preceding
-     * fastForwardCheck(n, @p supply_w) leaves the banks idle — the
-     * converter is tripped, or the frozen charge target is
-     * non-positive so every tick rests them. When every rack of a
-     * shard is bank-idle, the fleet advances all their lanes with
-     * one shared-arena kernel and commits with banks_prestepped.
-     */
-    bool banksIdleForSpan(double supply_w) const;
-
-    /**
      * Commit the macro-tick vetted by the immediately preceding
      * fastForwardCheck(@p n_ticks, @p supply_w) call — no other
      * member function may run on this domain in between. See
      * fastForward() for the exactness contract of the kernel.
-     * @p banks_prestepped asserts the caller already advanced the
-     * banks' batch lanes for the span (shared-arena kernel); only
-     * legal when banksIdleForSpan(@p supply_w) holds.
+     *
+     * @return Whether the banks stayed idle for the whole span (the
+     *         converter is tripped, or the frozen charge target is
+     *         non-positive so every tick rests them).
      */
-    void fastForwardCommit(std::size_t n_ticks, double supply_w,
-                           PowerSource &draw_sink,
-                           bool banks_prestepped = false);
+    bool fastForwardCommit(std::size_t n_ticks, double supply_w,
+                           PowerSource &draw_sink);
 
     /** Fill @p result with this domain's final metrics. */
     void finalize(SimResult &result) const;

@@ -32,8 +32,14 @@ Rng::uniformInt(int lo, int hi)
 double
 Rng::normal(double mean, double stddev)
 {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    if (stddev < 0.0)
+        fatal("Rng::normal stddev must be non-negative, got ", stddev);
+    // std::normal_distribution requires stddev > 0, so draw a
+    // standard normal and scale it with libstdc++'s own expression:
+    // the same engine consumption and bits for any stddev > 0, and
+    // exactly the mean for stddev 0.
+    std::normal_distribution<double> standard;
+    return standard(engine_) * stddev + mean;
 }
 
 double
@@ -61,10 +67,15 @@ Rng::logNormalWithMean(double mean, double sigma)
 {
     if (mean <= 0.0)
         fatal("Rng::logNormalWithMean requires positive mean");
+    if (sigma < 0.0)
+        fatal("Rng::logNormalWithMean sigma must be non-negative, got ",
+              sigma);
     // E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); solve for mu.
     double mu = std::log(mean) - 0.5 * sigma * sigma;
-    std::lognormal_distribution<double> dist(mu, sigma);
-    return dist(engine_);
+    // libstdc++'s lognormal expression over a standard normal, which
+    // (unlike std::lognormal_distribution) also admits sigma 0.
+    std::normal_distribution<double> standard;
+    return std::exp(sigma * standard(engine_) + mu);
 }
 
 } // namespace heb

@@ -106,7 +106,10 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     int uniformInt(int lo, int hi);
 
-    /** Normal draw with the given mean/stddev. */
+    /**
+     * Normal draw with the given mean/stddev (stddev >= 0; 0 returns
+     * @p mean but still consumes a draw).
+     */
     double normal(double mean, double stddev);
 
     /** Exponential draw with the given rate (lambda). */
@@ -117,8 +120,8 @@ class Rng
 
     /**
      * Log-normal draw parameterized by the *resulting* mean and
-     * sigma of the underlying normal; handy for heavy-tail power
-     * bursts.
+     * sigma (>= 0) of the underlying normal; handy for heavy-tail
+     * power bursts.
      */
     double logNormalWithMean(double mean, double sigma);
 

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "core/schemes.h"
+#include "power/solar_array.h"
 #include "sim/experiment.h"
 #include "sim/fleet.h"
+#include "sim/plan_cache.h"
 #include "util/thread_pool.h"
 #include "workload/workload_profiles.h"
 
@@ -408,6 +410,101 @@ TEST(FleetEvent, DeclineCountersOnContendedFaultyFleet)
          {"\"ff_not_calm_ticks\"", "\"ff_horizon_declines\"",
           "\"ff_probe_declines\"", "\"ff_declined_span_hist\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
+}
+
+/**
+ * Bank-idle macro-spans: frequent, long converter trips from the
+ * shared fault plan take every rack's buffer stage down in the same
+ * windows, and with the stage down a rack's banks are idle by
+ * definition. The count is engine output, so it must not depend on
+ * the job count either.
+ */
+TEST(FleetEvent, BankIdleSpansCountedOnFaultyCalmFleet)
+{
+    auto run = [](std::size_t jobs) {
+        ThreadPool::configureGlobal(jobs);
+        CalmRig rig(true);
+        rig.cfg.recordSeries = false;
+        rig.cfg.faultPlan.converterTripsPerDay = 48.0;
+        rig.cfg.faultPlan.converterRestartSeconds = 1800.0;
+        return FleetSimulator(rig.cfg, 3.0 * 260.0,
+                              FleetOptions{BudgetPolicy::Proportional,
+                                           FleetMode::Event, false})
+            .run(rig.specs);
+    };
+    FleetResult serial = run(1);
+    FleetResult pooled = run(4);
+    ThreadPool::configureGlobal(0);
+    EXPECT_GT(serial.shardKernelSpans, 0ul);
+    EXPECT_LE(serial.shardKernelSpans, serial.macroSpans);
+    EXPECT_EQ(serial.shardKernelSpans, pooled.shardKernelSpans);
+    EXPECT_EQ(fleetResultToJson(serial), fleetResultToJson(pooled));
+}
+
+/** Slim (aggregates-only) event runs on the jittery TS/WC/MS mix
+ *  under faults serialize identically at any job count. */
+TEST(FleetEvent, SlimJobs1VsNIdentical)
+{
+    auto run = [](std::size_t jobs) {
+        ThreadPool::configureGlobal(jobs);
+        SimConfig cfg;
+        cfg.durationSeconds = 3.0 * 3600.0;
+        cfg.faultInjection = true;
+        cfg.recordSeries = false;
+        std::vector<std::unique_ptr<ManagementScheme>> schemes;
+        std::vector<RackSpec> specs;
+        std::vector<std::shared_ptr<const SyntheticWorkload>> plans;
+        for (const char *w : {"TS", "WC", "MS"}) {
+            plans.push_back(
+                SharedPlanCache::global().workload(w, cfg.seed));
+            schemes.push_back(makeScheme(SchemeKind::HebD));
+            specs.push_back(RackSpec{std::string("rack-") + w,
+                                     plans.back().get(),
+                                     schemes.back().get()});
+        }
+        return FleetSimulator(cfg, 3.0 * 260.0,
+                              FleetOptions{BudgetPolicy::Proportional,
+                                           FleetMode::Event, false})
+            .run(specs);
+    };
+    FleetResult serial = run(1);
+    FleetResult pooled = run(4);
+    ThreadPool::configureGlobal(0);
+    EXPECT_EQ(fleetResultToJson(serial), fleetResultToJson(pooled));
+}
+
+/** The cache-shared solar trace is the privately-generated trace. */
+TEST(PlanSharing, SharedSolarTraceBitIdentical)
+{
+    SimConfig cfg;
+    SolarArray priv(cfg.solarParams, 6.0 * 3600.0, 1.0, cfg.seed);
+    auto shared = SharedPlanCache::global().solarTrace(
+        cfg.solarParams, 6.0 * 3600.0, 1.0, cfg.seed);
+    ASSERT_EQ(shared->size(), priv.trace().size());
+    for (std::size_t i = 0; i < shared->size(); ++i)
+        ASSERT_EQ((*shared)[i], priv.trace()[i]) << "sample " << i;
+    // Second lookup is a hit on the same immutable object.
+    auto again = SharedPlanCache::global().solarTrace(
+        cfg.solarParams, 6.0 * 3600.0, 1.0, cfg.seed);
+    EXPECT_EQ(again.get(), shared.get());
+}
+
+/** The cache-shared workload plan (what heb_fleet racks share)
+ *  behaves as a private instance. */
+TEST(PlanSharing, SharedWorkloadPlanMatchesPrivate)
+{
+    auto shared = SharedPlanCache::global().workload("TS", 42);
+    auto priv = makeWorkload("TS", 42);
+    for (double t : {0.0, 17.0, 333.0, 4096.0, 86399.0}) {
+        for (std::size_t s : {std::size_t{0}, std::size_t{3}})
+            ASSERT_EQ(shared->utilization(s, t),
+                      priv->utilization(s, t));
+    }
+    auto again = SharedPlanCache::global().workload("TS", 42);
+    EXPECT_EQ(again.get(), shared.get());
+    // A different seed is a different plan.
+    auto other = SharedPlanCache::global().workload("TS", 43);
+    EXPECT_NE(other.get(), shared.get());
 }
 
 } // namespace

@@ -60,6 +60,29 @@ TEST(Rng, NormalMoments)
     EXPECT_NEAR(acc / n, 5.0, 0.1);
 }
 
+TEST(Rng, ZeroStddevReturnsMeanAndAdvancesEngine)
+{
+    Rng zero(17), unit(17);
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(zero.normal(3.5, 0.0), 3.5);
+        (void)unit.normal(3.5, 1.0);
+    }
+    EXPECT_EQ(zero.engine(), unit.engine());
+    EXPECT_EQ(zero.normal(0.0, 1.0), unit.normal(0.0, 1.0));
+    // A zero-sigma lognormal is exactly its mean's exp(log()) too.
+    Rng ln(19);
+    EXPECT_DOUBLE_EQ(ln.logNormalWithMean(10.0, 0.0), 10.0);
+}
+
+TEST(RngDeath, NegativeSigmaFatal)
+{
+    Rng r(1);
+    EXPECT_EXIT(r.normal(0.0, -1.0), testing::ExitedWithCode(1),
+                "stddev");
+    EXPECT_EXIT(r.logNormalWithMean(1.0, -0.5),
+                testing::ExitedWithCode(1), "sigma");
+}
+
 TEST(Rng, ChanceExtremes)
 {
     Rng r(3);
