@@ -16,8 +16,10 @@
  * plus coulombic losses produce the <80 % round-trip efficiency the
  * paper measures (Fig. 3).
  *
- * All arithmetic lives in esd_kernel.h; this class holds the state
- * and calls those kernels on it.
+ * Results are pinned bit for bit (tests/esd/trajectory_digest_test.cpp
+ * and the `%.17g` result digests), so reassociating an expression or
+ * reordering the updates of a step is a behaviour change, not a
+ * refactor.
  */
 
 #pragma once
@@ -26,29 +28,27 @@
 
 #include "esd/battery_params.h"
 #include "esd/energy_storage.h"
-#include "esd/esd_kernel.h"
 
 namespace heb {
 
 /**
- * Snapshot of a battery's complete mutable state. Checkpoints save
- * and restore a device through it without exposing the members
- * piecemeal.
+ * A battery's complete mutable state. The device keeps it as one
+ * member, so checkpoints save and restore it as a plain copy.
  */
 struct BatteryState
 {
-    double y1 = 0.0; //!< available charge (Ah)
-    double y2 = 0.0; //!< bound charge (Ah)
-    double healthCap = 1.0;
-    double healthRes = 1.0;
-    double weightedAh = 0.0;
-    double tempC = 0.0;
-    int lastDirection = 0;
+    double y1 = 0.0;         //!< available charge (Ah)
+    double y2 = 0.0;         //!< bound charge (Ah)
+    double healthCap = 1.0;  //!< compound capacity derate
+    double healthRes = 1.0;  //!< compound resistance growth
+    double weightedAh = 0.0; //!< lifetime-weighted discharge (Ah)
+    double tempC = 0.0;      //!< cell temperature (C)
+    int lastDirection = 0;   //!< +1 discharging, -1 charging, 0 fresh
     EsdCounters counters;
 };
 
 /** A lead-acid battery simulated with KiBaM dynamics. */
-class Battery : public EnergyStorageDevice
+class Battery final : public EnergyStorageDevice
 {
   public:
     /** Construct a fully-charged battery. */
@@ -70,7 +70,7 @@ class Battery : public EnergyStorageDevice
     double maxChargePowerW(double dt_seconds) const override;
     bool depleted(double dt_seconds) const override;
     double lifetimeFractionUsed() const override;
-    const EsdCounters &counters() const override { return counters_; }
+    const EsdCounters &counters() const override { return s_.counters; }
     void reset() override;
     void setSoc(double soc) override;
     void applyHealthDerate(double capacity_factor,
@@ -80,10 +80,10 @@ class Battery : public EnergyStorageDevice
     const BatteryParams &params() const { return params_; }
 
     /** Charge in the KiBaM available well (Ah). */
-    double availableChargeAh() const { return y1_; }
+    double availableChargeAh() const { return s_.y1; }
 
     /** Charge in the KiBaM bound well (Ah). */
-    double boundChargeAh() const { return y2_; }
+    double boundChargeAh() const { return s_.y2; }
 
     /** Open-circuit voltage at the present state of charge. */
     double openCircuitVoltage() const;
@@ -92,7 +92,7 @@ class Battery : public EnergyStorageDevice
     double effectiveResistance() const;
 
     /** Lifetime-weighted discharge throughput so far (Ah). */
-    double weightedThroughputAh() const { return weightedAh_; }
+    double weightedThroughputAh() const { return s_.weightedAh; }
 
     /**
      * Effective capacity (Ah) after aging fade and health derates;
@@ -102,16 +102,13 @@ class Battery : public EnergyStorageDevice
     double effectiveCapacityAh() const;
 
     /** Compound capacity derate from applyHealthDerate (1 = healthy). */
-    double healthCapacityFactor() const { return healthCapacityFactor_; }
+    double healthCapacityFactor() const { return s_.healthCap; }
 
     /** Compound resistance growth from applyHealthDerate (1 = healthy). */
-    double healthResistanceFactor() const
-    {
-        return healthResistanceFactor_;
-    }
+    double healthResistanceFactor() const { return s_.healthRes; }
 
     /** Cell temperature (C); ambient when the thermal model is off. */
-    double temperatureC() const { return tempC_; }
+    double temperatureC() const { return s_.tempC; }
 
     /**
      * Thermal charge-derating factor in [0, 1]: 1 below the derate
@@ -132,43 +129,63 @@ class Battery : public EnergyStorageDevice
     double kibamMaxChargeCurrent(double dt_seconds) const;
 
     /** Last flow direction: +1 discharging, -1 charging, 0 fresh. */
-    int lastDirection() const { return lastDirection_; }
+    int lastDirection() const { return s_.lastDirection; }
 
     /** Snapshot the complete mutable state (for checkpoints). */
-    BatteryState state() const;
+    BatteryState state() const { return s_; }
 
     /** Restore a state previously captured with state(). */
-    void restoreState(const BatteryState &s);
+    void restoreState(const BatteryState &s) { s_ = s; }
 
   private:
-    /** Mutable-state handle for the shared kernels. */
-    esd_kernel::BatteryRef ref();
-
-    /** Read-only state view for the shared kernels. */
-    esd_kernel::BatteryView view() const;
+    /**
+     * Per-dt terms of a step: the KiBaM exponentials, the thermal
+     * alpha and the self-discharge keep factor.
+     */
+    struct StepTerms
+    {
+        double dtSeconds = -1.0;   //!< step the terms were computed for
+        double tHours = 0.0;       //!< dt in hours
+        double kt = 0.0;           //!< k·t
+        double ekt = 1.0;          //!< e^{-k·t}
+        double oneMinusEkt = 0.0;  //!< 1 - e^{-k·t} (expm1, stable)
+        double thermalAlpha = 0.0; //!< 1 - e^{-dt/tau} (0 if disabled)
+        double restKeep = 1.0;     //!< max(0, 1 - selfDis·t)
+    };
 
     /**
-     * Per-(params, dt) uniform terms (KiBaM exponentials, thermal
-     * alpha, self-discharge keep), memoized on the last step length.
-     * Nearly every simulation calls the battery with one fixed tick
-     * length, so the exp/expm1 pair is computed once. The cache makes
-     * the object non-thread-safe for *concurrent* use, which the
-     * parallel sweep engine already guarantees: a device belongs to
-     * exactly one simulation task (see DESIGN.md §8).
+     * The step terms for @p dt_seconds, memoized on the last step
+     * length. Nearly every simulation calls the battery with one
+     * fixed tick length, so the exp/expm1 pair is computed once. The
+     * cache makes the object non-thread-safe for *concurrent* use,
+     * which the parallel sweep engine already guarantees: a device
+     * belongs to exactly one simulation task (see DESIGN.md §8).
      */
-    const esd_kernel::BatteryStepUniforms &
-    uniforms(double dt_seconds) const;
+    const StepTerms &terms(double dt_seconds) const;
+
+    double kibamMaxDischargeCurrent(const StepTerms &u) const;
+    double kibamMaxChargeCurrent(const StepTerms &u) const;
+    double maxDischargePowerW(const StepTerms &u) const;
+    double maxChargePowerW(const StepTerms &u) const;
+
+    /** Current (A) bounded by the cutoff voltage and the power peak. */
+    double voltageLimitedCurrent() const;
+
+    /** Lifetime wear per Ah drawn at @p current_a from this SoC. */
+    double wearWeight(double current_a) const;
+
+    /** Advance both wells under constant current for one step. */
+    void stepWells(const StepTerms &u, double current_a);
+
+    /** First-order thermal update given this step's loss power. */
+    void stepThermal(const StepTerms &u, double loss_w);
+
+    /** One idle step: recovery, cooling and self-discharge. */
+    void restStep(const StepTerms &u);
 
     BatteryParams params_;
-    double y1_; //!< available charge (Ah)
-    double y2_; //!< bound charge (Ah)
-    double healthCapacityFactor_ = 1.0;
-    double healthResistanceFactor_ = 1.0;
-    double weightedAh_ = 0.0;
-    double tempC_;
-    int lastDirection_ = 0; //!< +1 discharging, -1 charging, 0 fresh
-    EsdCounters counters_;
-    mutable esd_kernel::BatteryStepUniforms uni_;
+    BatteryState s_;
+    mutable StepTerms terms_;
 };
 
 } // namespace heb

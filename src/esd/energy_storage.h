@@ -16,6 +16,12 @@
 
 namespace heb {
 
+/** Smallest power (W) worth actually moving; a smaller request rests. */
+constexpr double kMinMeaningfulPowerW = 1e-9;
+
+/** Discharge capability (W) below which a device counts as depleted. */
+constexpr double kDepletedPowerW = 1.0;
+
 /** Cumulative terminal-energy counters kept by every ESD. */
 struct EsdCounters
 {

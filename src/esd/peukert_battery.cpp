@@ -8,11 +8,6 @@
 
 namespace heb {
 
-namespace {
-constexpr double kMinMeaningfulPowerW = 1e-9;
-constexpr double kDepletedPowerW = 1.0;
-} // namespace
-
 PeukertBattery::PeukertBattery(BatteryParams params, double exponent)
     : params_(std::move(params)), exponent_(exponent),
       chargeAh_(params_.capacityAh)

@@ -1,10 +1,19 @@
 #include "esd/supercapacitor.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "util/logging.h"
+#include "util/units.h"
 
 namespace heb {
 
-namespace ek = esd_kernel;
+namespace {
+
+/** Integration sub-step (seconds) for the voltage dynamics. */
+constexpr double kScSubStepSeconds = 1.0;
+
+} // namespace
 
 Supercapacitor::Supercapacitor(ScParams params) : params_(std::move(params))
 {
@@ -15,120 +24,130 @@ Supercapacitor::Supercapacitor(ScParams params) : params_(std::move(params))
               ", ", params_.vMax, "]");
     if (params_.esrOhm <= 0.0)
         fatal("Supercapacitor ESR must be positive");
-    voltage_ = params_.vMax;
+    reset();
 }
 
-ek::ScRef
-Supercapacitor::ref()
+double
+Supercapacitor::restKeep(double dt_seconds) const
 {
-    return {params_,
-            voltage_,
-            healthCapacityFactor_,
-            healthResistanceFactor_,
-            lastDirection_,
-            counters_.chargeEnergyWh,
-            counters_.dischargeEnergyWh,
-            counters_.lossEnergyWh,
-            counters_.dischargeAh,
-            counters_.chargeAh,
-            counters_.directionChanges};
-}
-
-ek::ScView
-Supercapacitor::view() const
-{
-    return {params_, voltage_, healthCapacityFactor_,
-            healthResistanceFactor_};
-}
-
-const ek::ScStepUniforms &
-Supercapacitor::uniforms(double dt_seconds) const
-{
-    ek::refreshScUniforms(params_, dt_seconds, uni_);
-    return uni_;
+    if (dt_seconds != keepDtSeconds_) {
+        keepDtSeconds_ = dt_seconds;
+        keep_ = std::exp(-params_.selfDischargePerHour *
+                         secondsToHours(dt_seconds));
+    }
+    return keep_;
 }
 
 void
 Supercapacitor::reset()
 {
-    ek::scReset(ref());
+    s_ = ScState{};
+    s_.voltage = params_.vMax;
 }
 
 void
 Supercapacitor::applyHealthDerate(double capacity_factor,
                                   double resistance_factor)
 {
-    ek::scApplyHealthDerate(ref(), capacity_factor, resistance_factor);
+    if (capacity_factor <= 0.0 || capacity_factor > 1.0)
+        fatal("Supercapacitor health capacity factor must be in "
+              "(0,1], got ",
+              capacity_factor);
+    if (resistance_factor < 1.0)
+        fatal("Supercapacitor health resistance factor must be >= 1, "
+              "got ",
+              resistance_factor);
+    s_.healthCap *= capacity_factor;
+    s_.healthRes *= resistance_factor;
 }
 
 void
 Supercapacitor::setSoc(double soc)
 {
-    ek::scSetSoc(ref(), soc);
-}
-
-ScState
-Supercapacitor::state() const
-{
-    ScState s;
-    s.voltage = voltage_;
-    s.healthCap = healthCapacityFactor_;
-    s.healthRes = healthResistanceFactor_;
-    s.lastDirection = lastDirection_;
-    s.counters = counters_;
-    return s;
-}
-
-void
-Supercapacitor::restoreState(const ScState &s)
-{
-    voltage_ = s.voltage;
-    healthCapacityFactor_ = s.healthCap;
-    healthResistanceFactor_ = s.healthRes;
-    lastDirection_ = s.lastDirection;
-    counters_ = s.counters;
+    if (soc < 0.0 || soc > 1.0)
+        fatal("Supercapacitor::setSoc out of range: ", soc);
+    double v2 = params_.vMin * params_.vMin +
+                soc * (params_.vMax * params_.vMax -
+                       params_.vMin * params_.vMin);
+    s_.voltage = std::sqrt(v2);
 }
 
 double
 Supercapacitor::soc() const
 {
-    return ek::scSoc(view());
+    double v = s_.voltage;
+    double num = v * v - params_.vMin * params_.vMin;
+    double den = params_.vMax * params_.vMax - params_.vMin * params_.vMin;
+    return std::clamp(num / den, 0.0, 1.0);
 }
 
 double
 Supercapacitor::usableEnergyWh() const
 {
-    return ek::scUsableEnergyWh(view());
+    double v2 = std::max(
+        s_.voltage * s_.voltage - params_.vMin * params_.vMin, 0.0);
+    return 0.5 * effectiveCapacitanceF() * v2 / kSecondsPerHour;
 }
 
 double
 Supercapacitor::terminalVoltage(double load_watts) const
 {
-    return ek::scTerminalVoltage(view(), load_watts);
+    double v = s_.voltage;
+    if (load_watts <= 0.0)
+        return v;
+    double esr = effectiveEsrOhm();
+    double disc = v * v - 4.0 * esr * load_watts;
+    // A load past the power peak draws the peak current v/(2·ESR).
+    double i = disc < 0.0 ? -1.0 : (v - std::sqrt(disc)) / (2.0 * esr);
+    if (i < 0.0)
+        i = v / (2.0 * esr);
+    return v - i * esr;
 }
 
 double
 Supercapacitor::maxDischargePowerW(double dt_seconds) const
 {
-    return ek::scMaxDischargePowerW(view(), dt_seconds);
+    double v = s_.voltage;
+    if (v <= params_.vMin)
+        return 0.0;
+    double esr = effectiveEsrOhm();
+    // Current bound from the energy left before hitting the floor,
+    // spread across the requested horizon.
+    double energy_bound_a =
+        dt_seconds > 0.0
+            ? (v - params_.vMin) * effectiveCapacitanceF() / dt_seconds
+            : params_.maxCurrentA;
+    // Never operate past the power peak of the ESR divider.
+    double peak_a = v / (2.0 * esr);
+    double i = std::min({params_.maxCurrentA, energy_bound_a, peak_a});
+    return i <= 0.0 ? 0.0 : (v - i * esr) * i;
 }
 
 double
 Supercapacitor::maxChargePowerW(double dt_seconds) const
 {
-    return ek::scMaxChargePowerW(view(), dt_seconds);
+    double v = s_.voltage;
+    if (v >= params_.vMax)
+        return 0.0;
+    double headroom_a =
+        dt_seconds > 0.0
+            ? (params_.vMax - v) * effectiveCapacitanceF() / dt_seconds
+            : params_.maxCurrentA;
+    double i = std::min(params_.maxCurrentA, headroom_a);
+    return i <= 0.0 ? 0.0 : (v + i * effectiveEsrOhm()) * i;
 }
 
 bool
 Supercapacitor::depleted(double dt_seconds) const
 {
-    return ek::scDepleted(view(), dt_seconds);
+    return maxDischargePowerW(dt_seconds) < kDepletedPowerW;
 }
 
 double
 Supercapacitor::lifetimeFractionUsed() const
 {
-    return ek::scLifetimeFraction(params_, counters_.dischargeAh);
+    double cycles = s_.counters.dischargeAh / params_.fullCycleAh();
+    return cycles / params_.ratedCycleLife;
 }
 
 double
@@ -136,7 +155,43 @@ Supercapacitor::discharge(double watts, double dt_seconds)
 {
     if (dt_seconds <= 0.0)
         return 0.0;
-    return ek::scDischargeStep(ref(), uniforms(dt_seconds), watts);
+    if (watts <= kMinMeaningfulPowerW) {
+        s_.voltage *= restKeep(dt_seconds);
+        return 0.0;
+    }
+    double esr = effectiveEsrOhm();
+    double capf = effectiveCapacitanceF();
+    double delivered_wh = 0.0;
+    bool moved = false;
+    for (double remaining = dt_seconds; remaining > 0.0;) {
+        double step = std::min(remaining, kScSubStepSeconds);
+        remaining -= step;
+        double v = s_.voltage;
+        double disc = v * v - 4.0 * esr * watts;
+        // Past the power peak (disc < 0) the sqrt term is +0.0 and
+        // the current is the peak current v/(2·ESR).
+        double i_load = (v - std::sqrt(std::max(disc, 0.0))) / (2.0 * esr);
+        double floor_a = (v - params_.vMin) * capf / step;
+        double i = std::min({i_load, params_.maxCurrentA, floor_a});
+        // Charge that cannot move now cannot move in a later
+        // sub-step either: nothing below changes without it.
+        if (!(v > params_.vMin && i > 0.0))
+            break;
+        double dt_h = secondsToHours(step);
+        delivered_wh += (v - i * esr) * i * dt_h;
+        s_.counters.lossEnergyWh += i * i * esr * dt_h;
+        s_.counters.dischargeAh += i * dt_h;
+        s_.voltage -= i * step / capf;
+        moved = true;
+    }
+    s_.counters.dischargeEnergyWh += delivered_wh;
+    if (moved) {
+        if (s_.lastDirection == -1)
+            ++s_.counters.directionChanges;
+        s_.lastDirection = 1;
+    }
+    // Report the average power actually delivered over the step.
+    return delivered_wh / secondsToHours(dt_seconds);
 }
 
 double
@@ -144,7 +199,39 @@ Supercapacitor::charge(double watts, double dt_seconds)
 {
     if (dt_seconds <= 0.0)
         return 0.0;
-    return ek::scChargeStep(ref(), uniforms(dt_seconds), watts);
+    if (watts <= kMinMeaningfulPowerW) {
+        s_.voltage *= restKeep(dt_seconds);
+        return 0.0;
+    }
+    double esr = effectiveEsrOhm();
+    double capf = effectiveCapacitanceF();
+    double absorbed_wh = 0.0;
+    bool moved = false;
+    for (double remaining = dt_seconds; remaining > 0.0;) {
+        double step = std::min(remaining, kScSubStepSeconds);
+        remaining -= step;
+        double v = s_.voltage;
+        double i_load =
+            (-v + std::sqrt(v * v + 4.0 * esr * watts)) / (2.0 * esr);
+        double ceil_a = (params_.vMax - v) * capf / step;
+        double i = std::min({i_load, params_.maxCurrentA, ceil_a});
+        // As in discharge(): once stuck, stuck for the whole step.
+        if (!(v < params_.vMax && i > 0.0))
+            break;
+        double dt_h = secondsToHours(step);
+        absorbed_wh += (v + i * esr) * i * dt_h;
+        s_.counters.lossEnergyWh += i * i * esr * dt_h;
+        s_.counters.chargeAh += i * dt_h;
+        s_.voltage += i * step / capf;
+        moved = true;
+    }
+    s_.counters.chargeEnergyWh += absorbed_wh;
+    if (moved) {
+        if (s_.lastDirection == 1)
+            ++s_.counters.directionChanges;
+        s_.lastDirection = -1;
+    }
+    return absorbed_wh / secondsToHours(dt_seconds);
 }
 
 void
@@ -152,7 +239,7 @@ Supercapacitor::rest(double dt_seconds)
 {
     if (dt_seconds <= 0.0)
         return;
-    ek::scRestStep(ref(), uniforms(dt_seconds));
+    s_.voltage *= restKeep(dt_seconds);
 }
 
 void
@@ -165,9 +252,9 @@ Supercapacitor::advanceQuiescent(std::size_t ticks, double dt_seconds)
     // checks.
     if (dt_seconds <= 0.0 || ticks == 0)
         return;
-    double keep = uniforms(dt_seconds).restKeep;
+    double keep = restKeep(dt_seconds);
     for (std::size_t i = 0; i < ticks; ++i)
-        voltage_ *= keep;
+        s_.voltage *= keep;
 }
 
 } // namespace heb

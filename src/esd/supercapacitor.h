@@ -8,8 +8,10 @@
  * (90-95 %, paper Fig. 3), and there is no charge-current ceiling
  * beyond the bank's conservative absolute rating.
  *
- * All arithmetic lives in esd_kernel.h; this class holds the state
- * and calls those kernels on it.
+ * Results are pinned bit for bit (tests/esd/trajectory_digest_test.cpp
+ * and the `%.17g` result digests), so reassociating an expression or
+ * reordering the updates of a step is a behaviour change, not a
+ * refactor.
  */
 
 #pragma once
@@ -17,26 +19,25 @@
 #include <string>
 
 #include "esd/energy_storage.h"
-#include "esd/esd_kernel.h"
 #include "esd/sc_params.h"
 
 namespace heb {
 
 /**
- * Snapshot of a supercapacitor's complete mutable state, for
- * checkpoints.
+ * A supercapacitor's complete mutable state. The device keeps it as
+ * one member, so checkpoints save and restore it as a plain copy.
  */
 struct ScState
 {
-    double voltage = 0.0;
-    double healthCap = 1.0;
-    double healthRes = 1.0;
-    int lastDirection = 0;
+    double voltage = 0.0;   //!< open-circuit bank voltage (V)
+    double healthCap = 1.0; //!< compound capacitance derate
+    double healthRes = 1.0; //!< compound ESR growth
+    int lastDirection = 0;  //!< +1 discharging, -1 charging, 0 fresh
     EsdCounters counters;
 };
 
 /** A super-capacitor bank. */
-class Supercapacitor : public EnergyStorageDevice
+class Supercapacitor final : public EnergyStorageDevice
 {
   public:
     /** Construct a fully-charged bank. */
@@ -58,7 +59,7 @@ class Supercapacitor : public EnergyStorageDevice
     double maxChargePowerW(double dt_seconds) const override;
     bool depleted(double dt_seconds) const override;
     double lifetimeFractionUsed() const override;
-    const EsdCounters &counters() const override { return counters_; }
+    const EsdCounters &counters() const override { return s_.counters; }
     void reset() override;
     void setSoc(double soc) override;
     void applyHealthDerate(double capacity_factor,
@@ -68,50 +69,41 @@ class Supercapacitor : public EnergyStorageDevice
     const ScParams &params() const { return params_; }
 
     /** Present open-circuit bank voltage (V). */
-    double voltage() const { return voltage_; }
+    double voltage() const { return s_.voltage; }
 
     /** ESR including health growth from applyHealthDerate (ohm). */
     double effectiveEsrOhm() const
     {
-        return params_.esrOhm * healthResistanceFactor_;
+        return params_.esrOhm * s_.healthRes;
     }
 
     /** Capacitance including health fade (F). */
     double effectiveCapacitanceF() const
     {
-        return params_.capacitanceF * healthCapacityFactor_;
+        return params_.capacitanceF * s_.healthCap;
     }
 
     /** Last flow direction: +1 discharging, -1 charging, 0 fresh. */
-    int lastDirection() const { return lastDirection_; }
+    int lastDirection() const { return s_.lastDirection; }
 
     /** Snapshot the complete mutable state (for checkpoints). */
-    ScState state() const;
+    ScState state() const { return s_; }
 
     /** Restore a state previously captured with state(). */
-    void restoreState(const ScState &s);
+    void restoreState(const ScState &s) { s_ = s; }
 
   private:
-    /** Mutable-state handle for the shared kernels. */
-    esd_kernel::ScRef ref();
-
-    /** Read-only state view for the shared kernels. */
-    esd_kernel::ScView view() const;
-
     /**
-     * Memoized self-discharge keep factor: simulations call with one
-     * fixed tick length, so the exp is computed once per distinct
-     * dt. Mutable cache only; never observable state.
+     * Self-discharge keep factor e^{-λ·dt}, memoized on the last dt:
+     * simulations call with one fixed tick length, so the exp is
+     * computed once. Mutable cache only; never observable state.
      */
-    const esd_kernel::ScStepUniforms &uniforms(double dt_seconds) const;
+    double restKeep(double dt_seconds) const;
 
     ScParams params_;
-    double voltage_;
-    double healthCapacityFactor_ = 1.0;
-    double healthResistanceFactor_ = 1.0;
-    int lastDirection_ = 0;
-    EsdCounters counters_;
-    mutable esd_kernel::ScStepUniforms uni_;
+    ScState s_;
+    mutable double keepDtSeconds_ = -1.0;
+    mutable double keep_ = 1.0;
 };
 
 } // namespace heb

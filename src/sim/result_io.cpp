@@ -2,6 +2,7 @@
 
 #include "util/csv.h"
 #include "util/format.h"
+#include "util/logging.h"
 #include "util/units.h"
 
 namespace heb {
@@ -69,8 +70,14 @@ SimConfig
 simConfigFromConfig(const Config &config)
 {
     SimConfig cfg;
-    cfg.numServers = static_cast<std::size_t>(
-        config.getInt("servers", static_cast<long>(cfg.numServers)));
+    long servers =
+        config.getInt("servers", static_cast<long>(cfg.numServers));
+    // Checked before the cast: a negative count would wrap to a huge
+    // size_t.
+    if (servers < 1)
+        fatal("config key 'servers' must be at least 1 (got ", servers,
+              ")");
+    cfg.numServers = static_cast<std::size_t>(servers);
     cfg.tickSeconds =
         config.getDouble("tick_seconds", cfg.tickSeconds);
     cfg.slotSeconds =

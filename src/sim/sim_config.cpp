@@ -8,12 +8,21 @@ namespace heb {
 
 namespace {
 
+/** fatal() unless @p v is finite. */
+void
+requireFinite(double v, const char *field)
+{
+    if (std::isnan(v))
+        fatal("SimConfig: ", field, " is NaN");
+    if (std::isinf(v))
+        fatal("SimConfig: ", field, " must be finite (got ", v, ")");
+}
+
 /** fatal() unless @p v is a finite, positive number. */
 void
 requirePositive(double v, const char *field)
 {
-    if (std::isnan(v))
-        fatal("SimConfig: ", field, " is NaN");
+    requireFinite(v, field);
     if (v <= 0.0)
         fatal("SimConfig: ", field, " must be positive (got ", v,
               ")");
@@ -23,8 +32,7 @@ requirePositive(double v, const char *field)
 void
 requireNonNegative(double v, const char *field)
 {
-    if (std::isnan(v))
-        fatal("SimConfig: ", field, " is NaN");
+    requireFinite(v, field);
     if (v < 0.0)
         fatal("SimConfig: ", field, " must be non-negative (got ",
               v, ")");

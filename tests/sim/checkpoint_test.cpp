@@ -458,6 +458,23 @@ TEST(SimConfigValidate, RejectsMalformedFields)
     EXPECT_EXIT(bad_budget.validate(),
                 ::testing::ExitedWithCode(1), "budgetW");
 
+    SimConfig inf_duration;
+    inf_duration.durationSeconds =
+        std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(inf_duration.validate(),
+                ::testing::ExitedWithCode(1), "durationSeconds");
+
+    SimConfig inf_sc;
+    inf_sc.scEnergyWh = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(inf_sc.validate(), ::testing::ExitedWithCode(1),
+                "scEnergyWh");
+
+    SimConfig neg_inf_target;
+    neg_inf_target.peakShavingTargetW =
+        -std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(neg_inf_target.validate(),
+                ::testing::ExitedWithCode(1), "peakShavingTargetW");
+
     SimConfig bad_dod;
     bad_dod.baDod = 1.5;
     EXPECT_EXIT(bad_dod.validate(), ::testing::ExitedWithCode(1),

@@ -102,6 +102,17 @@ TEST(ResultIo, SimConfigFromConfigDefaults)
     EXPECT_DOUBLE_EQ(cfg.durationSeconds, defaults.durationSeconds);
 }
 
+TEST(ResultIo, SimConfigFromConfigNegativeServersFatal)
+{
+    // A negative count must not wrap to SIZE_MAX servers.
+    Config c = Config::fromString("servers = -1");
+    EXPECT_EXIT(simConfigFromConfig(c), ::testing::ExitedWithCode(1),
+                "servers");
+    Config zero = Config::fromString("servers = 0");
+    EXPECT_EXIT(simConfigFromConfig(zero), ::testing::ExitedWithCode(1),
+                "servers");
+}
+
 TEST(ResultIo, SimConfigFromConfigOverrides)
 {
     Config c = Config::fromString(

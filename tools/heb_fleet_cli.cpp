@@ -45,6 +45,7 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -226,12 +227,14 @@ main(int argc, char **argv)
             servers = static_cast<std::size_t>(n);
         } else if (!std::strcmp(argv[i], "--hours")) {
             hours = std::stod(need_value("--hours"));
-            if (hours <= 0.0)
-                fatal("--hours must be positive");
+            if (!std::isfinite(hours) || hours <= 0.0)
+                fatal("--hours must be finite and positive (got ", hours,
+                      ")");
         } else if (!std::strcmp(argv[i], "--budget-w")) {
             budget_w = std::stod(need_value("--budget-w"));
-            if (budget_w <= 0.0)
-                fatal("--budget-w must be positive");
+            if (!std::isfinite(budget_w) || budget_w <= 0.0)
+                fatal("--budget-w must be finite and positive (got ",
+                      budget_w, ")");
         } else if (!std::strcmp(argv[i], "--policy")) {
             std::string v = need_value("--policy");
             if (v == "static")
