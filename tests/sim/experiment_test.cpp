@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 #include "sim/experiment.h"
 #include "util/thread_pool.h"
 #include "workload/workload_profiles.h"
@@ -27,6 +30,31 @@ TEST(Experiment, SeededPatNonEmpty)
         EXPECT_GE(e.rLambda, 0.0);
         EXPECT_LE(e.rLambda, 1.0);
     }
+}
+
+TEST(Experiment, SeededPatDigestPinned)
+{
+    // Every entry of the default layout's seeded table, rendered
+    // with %.17g and folded into an FNV-1a digest. Any change to the
+    // profiler's races or its candidate choice moves it. Recorded on
+    // x86-64 Linux with glibc's libm.
+    PowerAllocationTable pat =
+        buildSeededPat(SimConfig{}, HebSchemeConfig{});
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto fold = [&h](const char *s) {
+        for (; *s; ++s) {
+            h ^= static_cast<unsigned char>(*s);
+            h *= 0x100000001b3ull;
+        }
+    };
+    char buf[160];
+    for (const PatEntry &e : pat.entries()) {
+        std::snprintf(buf, sizeof buf, "%.17g;%.17g;%.17g;%.17g;%lu;",
+                      e.scWh, e.baWh, e.mismatchW, e.rLambda, e.updates);
+        fold(buf);
+    }
+    EXPECT_EQ(pat.size(), 63u);
+    EXPECT_EQ(h, 0x823621a873e36d12ull) << std::hex << h;
 }
 
 TEST(Experiment, RunOneProducesResult)
