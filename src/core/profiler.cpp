@@ -1,6 +1,9 @@
 #include "core/profiler.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
 
 #include "core/load_assignment.h"
 #include "obs/metrics.h"
@@ -19,6 +22,20 @@ BufferProfiler::BufferProfiler(EsdFactory sc_factory,
         fatal("BufferProfiler needs both factories");
     if (config_.ratioSteps < 2)
         fatal("BufferProfiler needs at least two candidate ratios");
+    // Both race loops advance by tickSeconds: zero would never end.
+    if (!std::isfinite(config_.tickSeconds) || config_.tickSeconds <= 0.0)
+        fatal("BufferProfiler tickSeconds must be positive and finite");
+    const std::pair<const char *, double> lengths[] = {
+        {"peakDurationS", config_.peakDurationS},
+        {"valleyDurationS", config_.valleyDurationS},
+        {"horizonSeconds", config_.horizonSeconds}};
+    for (const auto &[name, value] : lengths) {
+        if (!std::isfinite(value) || value < 0.0)
+            fatal("BufferProfiler ", name,
+                  " must be finite and non-negative");
+    }
+    if (!std::isfinite(config_.valleyChargeW))
+        fatal("BufferProfiler valleyChargeW must be finite");
 }
 
 double
@@ -93,29 +110,61 @@ BufferProfiler::cyclicUnservedWh(double sc_soc, double ba_soc,
                                  double mismatch_w,
                                  double r_lambda) const
 {
+    return boundedCyclicUnservedWh(
+        sc_soc, ba_soc, mismatch_w, r_lambda,
+        std::numeric_limits<double>::infinity());
+}
+
+double
+BufferProfiler::boundedCyclicUnservedWh(double sc_soc, double ba_soc,
+                                        double mismatch_w,
+                                        double r_lambda,
+                                        double stop_at_wh) const
+{
     HEB_PROF_SCOPE("core.profiler.race");
-    obs::MetricsRegistry::global()
-        .counter("core.profiler_races_total")
-        .inc();
+    auto &metrics = obs::MetricsRegistry::global();
+    metrics.counter("core.profiler_races_total").inc();
+
+    double unserved_wh = 0.0;
+    std::size_t ticks = 0;
+    auto finish = [&](bool cut) {
+        if (cut)
+            metrics.counter("core.profiler_race_cutoffs_total").inc();
+        metrics.counter("core.profiler_race_ticks_total")
+            .add(static_cast<double>(ticks));
+        return unserved_wh;
+    };
+    // The sum never decreases (every term is >= 0), so once it
+    // reaches stop_at_wh the candidate cannot win; a mark that is not
+    // positive is reached before the first tick.
+    if (stop_at_wh <= 0.0)
+        return finish(true);
+
     auto sc = scFactory_();
     auto ba = baFactory_();
     sc->setSoc(sc_soc);
     ba->setSoc(ba_soc);
 
-    double unserved_wh = 0.0;
     double dt = config_.tickSeconds;
     for (std::size_t c = 0; c < config_.cycles; ++c) {
         for (double t = 0.0; t < config_.peakDurationS; t += dt) {
             DispatchResult res =
                 dispatchMismatch(*sc, *ba, mismatch_w, r_lambda, dt);
             unserved_wh += res.unservedW * dt / 3600.0;
+            ++ticks;
+            if (unserved_wh >= stop_at_wh)
+                return finish(true);
         }
+        // Only a later peak can see the valley's recharge.
+        if (c + 1 == config_.cycles)
+            break;
         for (double t = 0.0; t < config_.valleyDurationS; t += dt) {
             dispatchCharge(*sc, *ba, config_.valleyChargeW,
                            /*sc_first=*/true, dt);
+            ++ticks;
         }
     }
-    return unserved_wh;
+    return finish(false);
 }
 
 double
@@ -129,8 +178,13 @@ BufferProfiler::bestCyclicRatio(double sc_soc, double ba_soc,
         // (cheaper-wear) candidate.
         double r = 1.0 - static_cast<double>(i) /
                              static_cast<double>(config_.ratioSteps - 1);
-        double score =
-            cyclicUnservedWh(sc_soc, ba_soc, mismatch_w, r);
+        // A candidate wins only below best_score - 1e-9, so its race
+        // may stop once it reaches that mark.
+        double stop_at_wh = best_score < 0.0
+                                ? std::numeric_limits<double>::infinity()
+                                : best_score - 1e-9;
+        double score = boundedCyclicUnservedWh(sc_soc, ba_soc,
+                                               mismatch_w, r, stop_at_wh);
         if (best_score < 0.0 || score < best_score - 1e-9) {
             best_score = score;
             best_r = r;

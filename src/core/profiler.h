@@ -9,6 +9,13 @@
  * experiment across a grid of (SC level, battery level, mismatch)
  * scenarios, using factory callbacks so each trial starts from fresh
  * device state.
+ *
+ * Cyclic seeding picks the ratio with the least unserved energy by
+ * branch-and-bound: candidates still race in order, but a race stops
+ * as soon as its running sum reaches the score it would have to beat,
+ * and no race steps the valley after its final peak. Both cuts are
+ * exact, so the chosen ratio is the one a full race of every
+ * candidate would pick (DESIGN.md §8).
  */
 
 #pragma once
@@ -111,14 +118,18 @@ class BufferProfiler
     /**
      * Unserved energy (Wh) across the configured peak/valley cycles
      * when @p r_lambda of the mismatch rides the SC branch — the
-     * deployment-shaped objective (lower is better).
+     * deployment-shaped objective (lower is better). The valley after
+     * the last peak is not stepped: nothing scores after it.
      */
     double cyclicUnservedWh(double sc_soc, double ba_soc,
                             double mismatch_w, double r_lambda) const;
 
     /**
      * Ratio minimizing cyclicUnservedWh for one scenario, with ties
-     * broken toward the SC side (cheaper wear).
+     * broken toward the SC side (cheaper wear). Candidates run from
+     * r = 1 down; one wins only if it scores below the best so far
+     * minus 1e-9, so each race stops once its running sum reaches
+     * that mark. Every candidate still enters a race.
      */
     double bestCyclicRatio(double sc_soc, double ba_soc,
                            double mismatch_w) const;
@@ -133,6 +144,15 @@ class BufferProfiler
                    const std::vector<double> &mismatch_watts) const;
 
   private:
+    /**
+     * cyclicUnservedWh, stopped early once the running sum reaches
+     * @p stop_at_wh; a stopped race returns its partial sum, which is
+     * already >= @p stop_at_wh.
+     */
+    double boundedCyclicUnservedWh(double sc_soc, double ba_soc,
+                                   double mismatch_w, double r_lambda,
+                                   double stop_at_wh) const;
+
     EsdFactory scFactory_;
     EsdFactory baFactory_;
     ProfilerConfig config_;
