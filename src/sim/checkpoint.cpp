@@ -331,24 +331,6 @@ listCheckpointTicks(const std::string &dir, const std::string &stem)
     return ticks;
 }
 
-bool
-newestValidCheckpoint(const std::string &dir, const std::string &stem,
-                      std::string &payload_out,
-                      std::string &path_out, std::uint64_t &tick_out)
-{
-    for (std::uint64_t tick : listCheckpointTicks(dir, stem)) {
-        std::string path = checkpointFilePath(dir, stem, tick);
-        std::string error;
-        if (readCheckpointFile(path, payload_out, error)) {
-            path_out = path;
-            tick_out = tick;
-            return true;
-        }
-        warn("checkpoint: skipping ", path, ": ", error);
-    }
-    return false;
-}
-
 // ---------------------------------------------------------------
 // Checkpoint-on-fatal hook (mirrors obs::installTraceFlushOnAbort):
 // fatal() exits through exit(1), so an atexit hook sees the failure;

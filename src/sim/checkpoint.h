@@ -2,11 +2,12 @@
  * @file
  * Versioned, checksummed checkpoint/restore for long-horizon runs.
  *
- * A checkpoint captures the complete mutable state of a Simulator or
- * FleetSimulator run at a tick boundary — bank lane state, ledger,
- * controller slot plan, predictor history, PAT entries, degradation
- * counters, fault-injector cursor and RNG stream positions, draw-sink
- * metering, accumulated series — so a killed run can resume and
+ * A checkpoint captures the complete mutable state of a
+ * FleetSimulator run (a Simulator run is a one-rack fleet) at a tick
+ * boundary — bank lane state, ledger, controller slot plan,
+ * predictor history, PAT entries, degradation counters, fault-
+ * injector cursor and RNG stream positions, feed metering,
+ * accumulated series — so a killed run can resume and
  * produce a final SimResult/FleetResult byte-identical at %.17g to an
  * uninterrupted one (DESIGN.md §14).
  *
@@ -33,8 +34,12 @@
 
 namespace heb {
 
-/** Current checkpoint format version. */
-constexpr std::uint32_t kCheckpointFormatVersion = 1;
+/**
+ * Current checkpoint format version. v2: single-rack runs write the
+ * fleet format, whose manifest now carries the feed's supply kind
+ * and metering state; v1 files are skipped as version skew.
+ */
+constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /** File-name suffix of regular checkpoint files. */
 extern const char *const kCheckpointSuffix;
@@ -157,17 +162,6 @@ std::string checkpointFilePath(const std::string &dir,
  */
 std::vector<std::uint64_t>
 listCheckpointTicks(const std::string &dir, const std::string &stem);
-
-/**
- * Find the newest valid "<stem>-<tick>.ckpt" in @p dir. Invalid
- * files are skipped with a warning naming the defect. Returns false
- * when no valid checkpoint exists.
- */
-bool newestValidCheckpoint(const std::string &dir,
-                           const std::string &stem,
-                           std::string &payload_out,
-                           std::string &path_out,
-                           std::uint64_t &tick_out);
 
 /**
  * Arm an emergency checkpoint writer that runs when the process

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <unordered_set>
 
+#include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "power/ats.h"
+#include "power/solar_array.h"
+#include "power/utility_grid.h"
 #include "sim/fleet_health.h"
-#include "sim/tick_math.h"
+#include "sim/plan_cache.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -48,6 +51,162 @@ class SpanDrawRecorder final : public PowerSource
 
     std::vector<double> draws;
 };
+
+/**
+ * The facility's upstream supply, built once per run from the rack
+ * config: the utility grid at the facility budget with the config's
+ * outages — behind an ATS that holds the fault plan's transfer-
+ * failure windows open when faults are injected — or a solar array
+ * over the shared trace. The grid or array meters the facility draw.
+ */
+class FacilityFeed
+{
+  public:
+    FacilityFeed(const SimConfig &config, double budget_w,
+                 const fault::FaultPlan *plan)
+    {
+        if (config.solarPowered) {
+            // The trace is pure in (params, duration, dt, seed), so
+            // same-config runs sample it once and share it; harvest
+            // accounting stays per instance.
+            solar_ = std::make_unique<SolarArray>(
+                config.solarParams,
+                SharedPlanCache::global().solarTrace(
+                    config.solarParams, config.durationSeconds,
+                    config.tickSeconds, config.seed));
+            meter_ = solar_.get();
+            return;
+        }
+        grid_ = std::make_unique<UtilityGrid>(budget_w);
+        for (auto [start, duration] : config.outages)
+            grid_->addOutage(start, duration);
+        meter_ = grid_.get();
+        if (plan) {
+            ats_ = std::make_unique<Ats>(grid_.get(), nullptr);
+            for (const fault::FaultEvent &ev :
+                 plan->ofKind(fault::FaultKind::AtsTransferFailure))
+                ats_->forceOpen(ev.startSeconds, ev.durationSeconds);
+        }
+    }
+
+    double
+    availablePowerW(double now) const
+    {
+        return ats_ ? ats_->availablePowerW(now)
+                    : meter_->availablePowerW(now);
+    }
+
+    double
+    nextChangeTime(double now) const
+    {
+        return ats_ ? ats_->nextChangeTime(now)
+                    : meter_->nextChangeTime(now);
+    }
+
+    void
+    recordDraw(double now, double watts, double dt)
+    {
+        meter_->recordDraw(now, watts, dt);
+    }
+
+    /** Write the metering state under "sink.". */
+    void
+    save(CheckpointWriter &w) const
+    {
+        if (solar_) {
+            w.putDouble("sink.solar_harvested_wh",
+                        solar_->harvestedWh());
+            return;
+        }
+        UtilityGrid::State s = grid_->state();
+        w.putDouble("sink.grid.energy_wh", s.energyWh);
+        w.putDouble("sink.grid.current_peak", s.currentPeak);
+        w.putDouble("sink.grid.period_start", s.periodStart);
+        w.putBool("sink.grid.saw_draw", s.sawDraw);
+        w.putDoubles("sink.grid.peaks", s.peaks);
+    }
+
+    /** Restore what save() wrote. */
+    void
+    load(const CheckpointReader &r)
+    {
+        if (solar_) {
+            solar_->restoreHarvestedWh(
+                r.getDouble("sink.solar_harvested_wh"));
+            return;
+        }
+        UtilityGrid::State s;
+        s.energyWh = r.getDouble("sink.grid.energy_wh");
+        s.currentPeak = r.getDouble("sink.grid.current_peak");
+        s.periodStart = r.getDouble("sink.grid.period_start");
+        s.sawDraw = r.getBool("sink.grid.saw_draw");
+        s.peaks = r.getDoubles("sink.grid.peaks");
+        grid_->restoreState(s);
+    }
+
+    /**
+     * Fill a solar-fed rack's spilled generation and renewable
+     * energy utilization; a no-op on a utility feed.
+     */
+    void
+    finishRack(SimResult &result) const
+    {
+        if (!solar_)
+            return;
+        double gen = solar_->totalGenerationWh();
+        if (gen <= 0.0)
+            return;
+        // Spilled generation = generated - everything drawn.
+        result.ledger.spilledSourceWh =
+            std::max(0.0, gen - solar_->harvestedWh());
+        result.reu = std::clamp((result.ledger.sourceToLoadWh +
+                                 result.ledger.sourceToBuffersWh()) /
+                                    gen,
+                                0.0, 1.0);
+    }
+
+  private:
+    std::unique_ptr<UtilityGrid> grid_;
+    std::unique_ptr<SolarArray> solar_;
+    std::unique_ptr<Ats> ats_;
+    PowerSource *meter_ = nullptr;
+};
+
+/**
+ * Largest tick index whose time (index * dt, the same FP product as
+ * the run loop's `now`) lies strictly before @p horizon. The
+ * float-then-adjust dance lands an event edge on exactly the dense
+ * tick that would have processed it.
+ */
+std::size_t
+lastTickBefore(double horizon, double dt)
+{
+    auto last = static_cast<std::size_t>(horizon / dt);
+    while (last > 0 && static_cast<double>(last) * dt >= horizon)
+        --last;
+    while (static_cast<double>(last + 1) * dt < horizon)
+        ++last;
+    return last;
+}
+
+/**
+ * Fill every rack's need at @p now, in place. Weighted by *need*,
+ * not just instantaneous demand: a rack whose servers were shed must
+ * receive enough headroom to restart them, or a brown-out becomes a
+ * permanent allocation death spiral.
+ */
+void
+computeNeeds(ThreadPool &pool,
+             std::vector<std::unique_ptr<RackDomain>> &domains,
+             double now, std::vector<double> &need)
+{
+    pool.forEachIndex(domains.size(), [&](std::size_t r) {
+        RackDomain &domain = *domains[r];
+        need[r] = domain.computeDemand(now) +
+                  static_cast<double>(domain.offlineServers()) *
+                      domain.serverPeakPowerW() * 1.2;
+    });
+}
 
 /**
  * Lazily-interned fleet.ff_decline_total{rack,reason} counters for
@@ -147,11 +306,14 @@ FleetSimulator::FleetSimulator(SimConfig rack_config,
                                double facility_budget,
                                FleetOptions options)
     : config_(std::move(rack_config)),
-      facilityBudgetW_(facility_budget), options_(options)
+      facilityBudgetW_(config_.solarPowered ? 0.0 : facility_budget),
+      options_(options)
 {
     config_.validate();
     options_.validate();
-    if (std::isnan(facility_budget) || facility_budget <= 0.0)
+    // A solar feed has no budget: the array's output is the supply.
+    if (!config_.solarPowered &&
+        (std::isnan(facility_budget) || facility_budget <= 0.0))
         fatal("FleetSimulator: facility budget must be positive");
 }
 
@@ -164,27 +326,8 @@ FleetSimulator::FleetSimulator(SimConfig rack_config,
 }
 
 void
-FleetSimulator::computeNeeds(
-    std::vector<std::unique_ptr<RackDomain>> &domains,
-    const std::vector<std::size_t> &idx, double now,
-    std::vector<double> &need) const
-{
-    // Weight by *need*, not just instantaneous demand: a rack whose
-    // servers were shed must receive enough headroom to restart
-    // them, or a brown-out becomes a permanent allocation death
-    // spiral.
-    std::vector<double> computed =
-        parallelMap(idx, [&](std::size_t r) {
-            RackDomain &domain = *domains[r];
-            return domain.computeDemand(now) +
-                   static_cast<double>(domain.offlineServers()) *
-                       domain.serverPeakPowerW() * 1.2;
-        });
-    need.swap(computed);
-}
-
-void
 FleetSimulator::arbitrate(const std::vector<double> &need,
+                          double supply_w,
                           std::vector<double> &alloc) const
 {
     // total_need is accumulated in rack order: the allocation is a
@@ -195,7 +338,7 @@ FleetSimulator::arbitrate(const std::vector<double> &need,
     for (std::size_t r = 0; r < n; ++r)
         total_need += need[r];
 
-    double equal_share = facilityBudgetW_ / static_cast<double>(n);
+    double equal_share = supply_w / static_cast<double>(n);
     if (options_.policy == BudgetPolicy::Static ||
         total_need <= 0.0) {
         std::fill(alloc.begin(), alloc.end(), equal_share);
@@ -203,8 +346,7 @@ FleetSimulator::arbitrate(const std::vector<double> &need,
         // Proportional-to-need with a 25 % floor of the equal
         // share so an idle rack can still charge its buffers.
         double floor = 0.25 * equal_share;
-        double flexible =
-            facilityBudgetW_ - floor * static_cast<double>(n);
+        double flexible = supply_w - floor * static_cast<double>(n);
         for (std::size_t r = 0; r < n; ++r)
             alloc[r] = floor + flexible * need[r] / total_need;
     }
@@ -225,6 +367,9 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
     options_.validate();
     if (racks.empty())
         fatal("FleetSimulator: need at least one rack");
+    if (config_.solarPowered && racks.size() > 1)
+        fatal("FleetSimulator: a solarPowered feed supplies one rack, "
+              "got ", racks.size());
     std::unordered_set<const ManagementScheme *> schemes;
     for (const RackSpec &spec : racks) {
         if (!spec.workload || !spec.scheme)
@@ -239,9 +384,9 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
                   "give each rack its own");
     }
 
-    // One shared fault plan for every rack: generation is pure in
-    // (params, duration, seed), so per-domain regeneration produced
-    // n identical copies of the same schedule.
+    // One fault plan for the feed's ATS windows and every rack:
+    // generation is pure in (params, duration, seed), so per-domain
+    // regeneration produced n identical copies of the same schedule.
     fault::FaultPlan plan;
     const fault::FaultPlan *shared_plan = nullptr;
     if (config_.faultInjection) {
@@ -250,6 +395,7 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
                                           config_.faultSeed);
         shared_plan = &plan;
     }
+    FacilityFeed feed(config_, facilityBudgetW_, shared_plan);
 
     std::vector<std::unique_ptr<RackDomain>> domains;
     domains.reserve(racks.size());
@@ -284,13 +430,17 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
     if (static_cast<double>(ticks) * dt < config_.durationSeconds)
         ++ticks;
 
-    std::vector<std::size_t> idx(n);
-    std::iota(idx.begin(), idx.end(), std::size_t{0});
-
+    // Per-tick buffers live for the whole run and are filled in
+    // place: with one rack (or one lane) the fan-outs below run
+    // inline, and the loop allocates nothing per tick.
+    ThreadPool &pool = ThreadPool::global();
     FleetResult result;
     std::vector<double> need(n, 0.0);
     std::vector<double> alloc(n, 0.0);
     std::vector<double> alloc_ff(n, 0.0);
+    std::vector<RackDomain::TickOutcome> outs(n);
+    std::vector<int> probe_ok(n, 0);
+    std::vector<int> banks_idle(n, 0);
     std::vector<SpanDrawRecorder> recorders(n);
     FfDeclineCounters declines(racks);
 
@@ -317,9 +467,13 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
     std::size_t tick_i = 0;
 
     // ---- Checkpointing ------------------------------------------
-    // Same tick-boundary, mutate-nothing contract as the single-rack
-    // engine (see Simulator::run); the fleet adds sharding. Shards
-    // are written first and the manifest last, both atomically, so a
+    // Snapshots are taken at the top of the loop, at a tick
+    // boundary, and mutate no simulation state; restoring one
+    // reproduces every input the remaining ticks depend on. That is
+    // the whole exactness argument (DESIGN.md §14): checkpointed,
+    // killed-and-resumed and uninterrupted runs execute the same
+    // floating-point operations in the same order. Shards are
+    // written first and the manifest last, both atomically, so a
     // readable manifest implies its complete shard set is durable.
     auto manifest_payload = [&](std::uint64_t at_tick) {
         CheckpointWriter w;
@@ -334,6 +488,7 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
                     budgetPolicyName(options_.policy));
         w.putString("meta.mode", fleetModeName(options_.mode));
         w.putBool("meta.faults", config_.faultInjection);
+        w.putBool("meta.solar", config_.solarPowered);
         w.putU64("meta.racks", n);
         for (std::size_t r = 0; r < n; ++r) {
             std::string p = "meta.rack." + std::to_string(r);
@@ -358,6 +513,7 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             w.putU64("fleet.ff_hist." + std::to_string(b),
                      result.ffDeclinedSpanHist[b]);
         w.putDouble("fleet.next_health", next_health);
+        feed.save(w);
         return w.payload();
     };
 
@@ -432,6 +588,8 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             guard(m.getBool("meta.faults") ==
                       config_.faultInjection,
                   "fault-injection setting");
+            guard(m.getBool("meta.solar") == config_.solarPowered,
+                  "supply kind");
             guard(m.getU64("meta.racks") == n, "rack count");
             for (std::size_t r = 0; r < n; ++r) {
                 std::string p = "meta.rack." + std::to_string(r);
@@ -482,22 +640,17 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
                 m.getU64("fleet.macro_span_ticks");
             result.shardKernelSpans =
                 m.getU64("fleet.shard_kernel_spans");
-            // Decline instrumentation arrived after the manifest
-            // format; an older manifest restores with zeroed
-            // counters rather than refusing to resume.
-            if (m.has("fleet.ff_not_calm_ticks")) {
-                result.ffNotCalmTicks =
-                    m.getU64("fleet.ff_not_calm_ticks");
-                result.ffHorizonDeclines =
-                    m.getU64("fleet.ff_horizon_declines");
-                result.ffProbeDeclines =
-                    m.getU64("fleet.ff_probe_declines");
-                for (std::size_t b = 0; b < kFfDeclineHistBins;
-                     ++b)
-                    result.ffDeclinedSpanHist[b] = m.getU64(
-                        "fleet.ff_hist." + std::to_string(b));
-            }
+            result.ffNotCalmTicks =
+                m.getU64("fleet.ff_not_calm_ticks");
+            result.ffHorizonDeclines =
+                m.getU64("fleet.ff_horizon_declines");
+            result.ffProbeDeclines =
+                m.getU64("fleet.ff_probe_declines");
+            for (std::size_t b = 0; b < kFfDeclineHistBins; ++b)
+                result.ffDeclinedSpanHist[b] =
+                    m.getU64("fleet.ff_hist." + std::to_string(b));
             next_health = m.getDouble("fleet.next_health");
+            feed.load(m);
             inform("resumed fleet from ", mpath, " at tick ",
                    tick_i, " (t=",
                    static_cast<double>(tick_i) * dt, " s)");
@@ -539,17 +692,16 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             write_fleet_checkpoint(tick_i);
         }
 
-        computeNeeds(domains, idx, now, need);
-        arbitrate(need, alloc);
-
-        std::vector<RackDomain::TickOutcome> outs =
-            parallelMap(idx, [&](std::size_t r) {
-                return domains[r]->tick(now, alloc[r]);
-            });
+        computeNeeds(pool, domains, now, need);
+        arbitrate(need, feed.availablePowerW(now), alloc);
+        pool.forEachIndex(n, [&](std::size_t r) {
+            outs[r] = domains[r]->tick(now, alloc[r]);
+        });
 
         double facility_draw = 0.0;
         for (std::size_t r = 0; r < n; ++r)
             facility_draw += outs[r].sourceDrawW;
+        feed.recordDraw(now, facility_draw, dt);
         result.facilityPeakDrawW =
             std::max(result.facilityPeakDrawW, facility_draw);
 
@@ -562,8 +714,8 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
         // Cheap guard: a rack that just drew on its buffers (or
         // shed) is mid-mismatch — stay dense until every rack has a
         // calm tick again. Every offending rack is attributed (no
-        // early break): the decline counters are the data ROADMAP
-        // item 1's lax-sync decision rests on.
+        // early break), so the decline counters show which racks
+        // kept the event engine from engaging.
         bool calm = true;
         for (std::size_t r = 0; r < n; ++r) {
             if (outs[r].unservedW > 0.0 ||
@@ -578,12 +730,12 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
         }
 
         // Fleet horizon: the earliest instant after `now` at which
-        // any rack's tick inputs may change. Because allocations are
-        // a pure function of the rack demands (and the constant
-        // facility budget), this is also the next arbitration event:
-        // inside the span the dense loop would recompute bitwise-
-        // identical allocations every tick, so freezing them at t1
-        // is exact.
+        // any rack's tick inputs or the facility supply may change.
+        // Because allocations are a pure function of the rack
+        // demands and the supply, this is also the next arbitration
+        // event: inside the span the dense loop would recompute
+        // bitwise-identical allocations every tick, so freezing them
+        // at t1 is exact.
         double horizon = std::numeric_limits<double>::infinity();
         std::size_t horizon_rack = 0;
         for (std::size_t r = 0; r < n; ++r) {
@@ -591,10 +743,12 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             if (h < horizon) {
                 horizon = h;
                 // First rack achieving the min (rack order) owns
-                // the horizon for decline attribution.
+                // the horizon for decline attribution, also when the
+                // feed's edge is the nearer one.
                 horizon_rack = r;
             }
         }
+        horizon = std::min(horizon, feed.nextChangeTime(now));
         double t1 = static_cast<double>(tick_i) * dt;
         if (horizon <= t1) {
             ++result.ffHorizonDeclines;
@@ -615,29 +769,27 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             span = std::min(last - tick_i + 1, ticks - tick_i);
         }
 
-        // Recompute needs and allocations at the span start — the
-        // exact FP sequence the dense loop would run at t1, so a
-        // declined span leaves nothing to undo (computeDemand and
-        // the probe's controller tick are idempotent re-runs of the
-        // next dense tick's own work).
-        computeNeeds(domains, idx, t1, need);
-        arbitrate(need, alloc_ff);
+        // Recompute allocations at the span start — the exact FP
+        // sequence the dense loop would run at t1, so a declined span
+        // leaves nothing to undo (computeDemand and the probe's
+        // controller tick are idempotent re-runs of the next dense
+        // tick's own work). Static shares ignore the needs, and each
+        // probe evaluates its own demand at t1.
+        if (options_.policy == BudgetPolicy::Proportional)
+            computeNeeds(pool, domains, t1, need);
+        arbitrate(need, feed.availablePowerW(t1), alloc_ff);
 
         // All-or-nothing probe: commit only when *every* rack
         // accepts the span at its frozen allocation.
-        std::vector<int> oks =
-            parallelMap(idx, [&](std::size_t r) {
-                return domains[r]->fastForwardCheck(span,
-                                                    alloc_ff[r])
-                           ? 1
-                           : 0;
-            });
-        if (!std::all_of(oks.begin(), oks.end(),
-                         [](int ok) { return ok != 0; })) {
+        pool.forEachIndex(n, [&](std::size_t r) {
+            probe_ok[r] =
+                domains[r]->fastForwardCheck(span, alloc_ff[r]);
+        });
+        if (std::count(probe_ok.begin(), probe_ok.end(), 0) > 0) {
             ++result.ffProbeDeclines;
             ++result.ffDeclinedSpanHist[ffDeclineHistBin(span)];
             for (std::size_t r = 0; r < n; ++r)
-                if (!oks[r])
+                if (!probe_ok[r])
                     declines.noteProbe(r);
             continue;
         }
@@ -647,23 +799,21 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             recorders[r].draws.reserve(span);
         }
         // Commits report whether their banks sat idle for the span.
-        std::vector<int> idle =
-            parallelMap(idx, [&](std::size_t r) {
-                return domains[r]->fastForwardCommit(
-                           span, alloc_ff[r], recorders[r])
-                           ? 1
-                           : 0;
-            });
-        if (std::all_of(idle.begin(), idle.end(),
-                        [](int i) { return i != 0; }))
+        pool.forEachIndex(n, [&](std::size_t r) {
+            banks_idle[r] = domains[r]->fastForwardCommit(
+                span, alloc_ff[r], recorders[r]);
+        });
+        if (std::count(banks_idle.begin(), banks_idle.end(), 0) == 0)
             ++result.shardKernelSpans;
 
-        // Facility peak: re-sum each span tick in rack order — the
+        // Facility draw: re-sum each span tick in rack order — the
         // same addition order as the dense accumulation above.
         for (std::size_t j = 0; j < span; ++j) {
             double fd = 0.0;
             for (std::size_t r = 0; r < n; ++r)
                 fd += recorders[r].draws[j];
+            feed.recordDraw(static_cast<double>(tick_i + j) * dt, fd,
+                            dt);
             result.facilityPeakDrawW =
                 std::max(result.facilityPeakDrawW, fd);
         }
@@ -685,6 +835,7 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
         rr.workloadName = racks[r].workload->name();
         rr.workloadPeakClass = racks[r].workload->peakClass();
         domains[r]->finalize(rr);
+        feed.finishRack(rr);
         result.totalDowntimeSeconds += rr.downtimeSeconds;
         result.totalUnservedWh += rr.ledger.unservedWh;
         double served = rr.ledger.servedWh();

@@ -4,7 +4,11 @@
  *
  * Each rack is an independent HEB power domain — its own servers,
  * hybrid banks, relays and hControl — while the facility feed is
- * shared. Two budget-arbitration policies are provided:
+ * shared. The feed is the rack config's supply: the utility budget
+ * with its outages (behind an ATS carrying the fault plan's
+ * transfer failures when faults are injected), or, for a one-rack
+ * fleet, a solar array. A one-rack Static fleet is the single-rack
+ * Simulator. Two budget-arbitration policies are provided:
  *
  *  - Static: every rack gets total/N, period. Simple, but a busy
  *    rack browns out while its neighbour idles.
@@ -28,14 +32,13 @@
  *    %.17g.
  *
  * Per-tick computeDemand/tick fan-out is sharded across the shared
- * ThreadPool (ordered, caller-participating map), so results are
- * independent of the job count.
+ * ThreadPool (ThreadPool::forEachIndex into buffers the run owns),
+ * so results are independent of the job count.
  */
 
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -188,10 +191,10 @@ struct FleetResult
     unsigned long shardKernelSpans = 0;
 
     // --- Event-engine conservatism instrumentation ----------------
-    // Why the engine stayed dense (ROADMAP item 1: the lax-sync
-    // decision needs decline-rate data, not intuition). Mirrored
-    // into fleet.ff_decline_total{rack,reason} counters; identical
-    // across --jobs by construction.
+    // Why the event engine did not engage: each count names the
+    // check that kept the fleet dense. Mirrored into
+    // fleet.ff_decline_total{rack,reason} counters; identical across
+    // --jobs by construction.
 
     /** Dense ticks where some rack's tick was not calm (buffer
      *  draw or demand above allocation) — reason "not_calm". */
@@ -217,8 +220,10 @@ class FleetSimulator
   public:
     /**
      * @param rack_config      Per-rack rig parameters (applied to
-     *                         every rack; budgetW is ignored).
-     * @param facility_budget  Shared feed (W).
+     *                         every rack) and the feed's outages,
+     *                         faults and supply kind.
+     * @param facility_budget  Shared utility budget (W); unused, and
+     *                         not validated, for a solar feed.
      * @param options          Policy + engine knobs.
      */
     FleetSimulator(SimConfig rack_config, double facility_budget,
@@ -228,7 +233,10 @@ class FleetSimulator
     FleetSimulator(SimConfig rack_config, double facility_budget,
                    BudgetPolicy policy);
 
-    /** Run the fleet for the configured duration. */
+    /**
+     * Run the fleet for the configured duration. A solarPowered
+     * config takes exactly one rack (fatal otherwise).
+     */
     FleetResult run(const std::vector<RackSpec> &racks);
 
     /**
@@ -245,14 +253,8 @@ class FleetSimulator
                     const CheckpointOptions &ckpt);
 
   private:
-    /** Compute every rack's need at @p now (pooled fan-out). */
-    void computeNeeds(
-        std::vector<std::unique_ptr<RackDomain>> &domains,
-        const std::vector<std::size_t> &idx, double now,
-        std::vector<double> &need) const;
-
-    /** Split the facility budget over @p need into @p alloc. */
-    void arbitrate(const std::vector<double> &need,
+    /** Split @p supply_w over @p need into @p alloc. */
+    void arbitrate(const std::vector<double> &need, double supply_w,
                    std::vector<double> &alloc) const;
 
     SimConfig config_;

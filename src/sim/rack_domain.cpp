@@ -163,8 +163,9 @@ RackDomain::applyFaultEvent(const fault::FaultEvent &event,
       case FaultKind::AtsTransferFailure:
       case FaultKind::SensorDropout:
       case FaultKind::SensorJitter:
-        // ATS gaps act on the upstream supply (the Simulator owns
-        // the switch); sensor faults act through filterTelemetry().
+        // ATS gaps act on the upstream supply (the fleet's facility
+        // feed owns the switch); sensor faults act through
+        // filterTelemetry().
         // Logged here so the fault log is complete in one place.
         break;
     }
@@ -507,16 +508,6 @@ RackDomain::nextEventHorizon(double now_seconds) const
     if (restore > now_seconds)
         h = std::min(h, restore);
     return h;
-}
-
-std::size_t
-RackDomain::fastForward(std::size_t max_ticks, double supply_w,
-                        PowerSource &draw_sink)
-{
-    if (max_ticks == 0 || !fastForwardCheck(max_ticks, supply_w))
-        return 0;
-    fastForwardCommit(max_ticks, supply_w, draw_sink);
-    return max_ticks;
 }
 
 bool

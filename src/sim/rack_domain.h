@@ -4,9 +4,9 @@
  * relays + hControl, advanced tick by tick against an externally
  * supplied power budget.
  *
- * Extracted from the single-rack Simulator so the FleetSimulator can
- * run many domains side by side (the paper's rack-level scale-out,
- * Fig. 8c) with budget arbitration between them.
+ * The FleetSimulator runs one or many domains side by side (the
+ * paper's rack-level scale-out, Fig. 8c) with budget arbitration
+ * between them; the single-rack Simulator is a one-domain fleet.
  */
 
 #pragma once
@@ -93,12 +93,23 @@ class RackDomain
     double nextEventHorizon(double now_seconds) const;
 
     /**
-     * Quiescent macro-tick: attempt to advance the next @p max_ticks
-     * ticks (all strictly before the caller-computed event horizon,
-     * at @p supply_w of constant budget) in one call. Returns the
-     * number of ticks consumed — 0 when the quiescence predicate
-     * fails, in which case the domain state is as if nothing
-     * happened and the caller must tick densely.
+     * Quiescence probe for the fleet's all-or-nothing macro-tick:
+     * returns true when fastForwardCommit(@p n_ticks, @p supply_w)
+     * can advance the next @p n_ticks ticks (all strictly before the
+     * caller-computed event horizon, at @p supply_w of constant
+     * budget) in one call. Every mutation it performs (demand
+     * evaluation, controller tick at the span start) is an
+     * idempotent re-run of what the next dense tick would do itself,
+     * so declining — or probing and then never committing because a
+     * *different* domain declined — leaves this domain exactly as
+     * dense ticking expects.
+     */
+    bool fastForwardCheck(std::size_t n_ticks, double supply_w);
+
+    /**
+     * Commit the macro-tick vetted by the immediately preceding
+     * fastForwardCheck(@p n_ticks, @p supply_w) call — no other
+     * member function may run on this domain in between.
      *
      * The result is bit-identical to dense ticking by construction:
      * every floating-point operation that reaches SimResult (ledger
@@ -110,28 +121,6 @@ class RackDomain
      * loop. Known divergence, by design: the trace gets one
      * summarized Quiescent record instead of stride-sampled Tick
      * records.
-     */
-    std::size_t fastForward(std::size_t max_ticks, double supply_w,
-                            PowerSource &draw_sink);
-
-    /**
-     * Quiescence probe for a caller that must coordinate macro-ticks
-     * across several domains (the fleet's all-or-nothing span):
-     * returns true when fastForwardCommit(@p n_ticks, @p supply_w)
-     * would advance all @p n_ticks ticks. Every mutation it performs
-     * (demand evaluation, controller tick at the span start) is an
-     * idempotent re-run of what the next dense tick would do itself,
-     * so declining — or probing and then never committing because a
-     * *different* domain declined — leaves this domain exactly as
-     * dense ticking expects.
-     */
-    bool fastForwardCheck(std::size_t n_ticks, double supply_w);
-
-    /**
-     * Commit the macro-tick vetted by the immediately preceding
-     * fastForwardCheck(@p n_ticks, @p supply_w) call — no other
-     * member function may run on this domain in between. See
-     * fastForward() for the exactness contract of the kernel.
      *
      * @return Whether the banks stayed idle for the whole span (the
      *         converter is tripped, or the frozen charge target is
@@ -204,9 +193,9 @@ class RackDomain
     /**
      * Serialize this domain's complete mutable state under
      * @p prefix. Must be called at a tick boundary (between tick()
-     * or fastForward() calls); mutates nothing, so a checkpointed
-     * run is tick-for-tick identical to a plain one. Implemented in
-     * checkpoint.cpp, which owns the key layout.
+     * or fastForwardCommit() calls); mutates nothing, so a
+     * checkpointed run is tick-for-tick identical to a plain one.
+     * Implemented in checkpoint.cpp, which owns the key layout.
      */
     void checkpointSave(CheckpointWriter &writer,
                         const std::string &prefix) const;

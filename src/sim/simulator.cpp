@@ -1,19 +1,10 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
+#include <utility>
 
-#include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "power/ats.h"
-#include "power/solar_array.h"
-#include "power/utility_grid.h"
-#include "sim/plan_cache.h"
-#include "sim/rack_domain.h"
-#include "sim/tick_math.h"
-#include "util/logging.h"
+#include "sim/fleet.h"
 
 namespace heb {
 
@@ -33,270 +24,14 @@ Simulator::run(const Workload &workload, ManagementScheme &scheme,
                const CheckpointOptions &ckpt)
 {
     HEB_PROF_SCOPE("sim.run");
-    ckpt.validate();
-    const double dt = config_.tickSeconds;
-
-    // Generate the fault plan exactly once and share it: the ATS
-    // forced-open wiring below and the domain's injector used to
-    // regenerate the identical schedule independently.
-    fault::FaultPlan plan;
-    const fault::FaultPlan *shared_plan = nullptr;
-    if (config_.faultInjection) {
-        plan = fault::FaultPlan::generate(config_.faultPlan,
-                                          config_.durationSeconds,
-                                          config_.faultSeed);
-        shared_plan = &plan;
-    }
-
-    std::unique_ptr<UtilityGrid> grid;
-    std::unique_ptr<SolarArray> solar;
-    std::unique_ptr<Ats> ats;
-    if (config_.solarPowered) {
-        // The trace is pure in (params, duration, dt, seed), so
-        // same-config runs — sweep cells, fleet racks — sample it
-        // once and share it; harvest accounting stays per-instance.
-        solar = std::make_unique<SolarArray>(
-            config_.solarParams,
-            SharedPlanCache::global().solarTrace(
-                config_.solarParams, config_.durationSeconds, dt,
-                config_.seed));
-    } else {
-        grid = std::make_unique<UtilityGrid>(config_.budgetW);
-        for (auto [start, duration] : config_.outages)
-            grid->addOutage(start, duration);
-
-        if (config_.faultInjection) {
-            // Route the utility feed through an ATS and pre-apply
-            // the plan's transfer failures as forced-open windows.
-            ats = std::make_unique<Ats>(grid.get(), nullptr);
-            for (const fault::FaultEvent &ev : plan.ofKind(
-                     fault::FaultKind::AtsTransferFailure)) {
-                ats->forceOpen(ev.startSeconds,
-                               ev.durationSeconds);
-            }
-        }
-    }
-
-    RackDomain domain(config_, workload, scheme, "rack0",
-                      shared_plan);
-
-    // Round the tick count up so a duration that is not a whole
-    // multiple of the tick still simulates its trailing partial
-    // interval (as one full tick — the series step is uniform)
-    // instead of silently truncating it.
-    auto ticks =
-        static_cast<std::size_t>(config_.durationSeconds / dt);
-    if (static_cast<double>(ticks) * dt < config_.durationSeconds)
-        ++ticks;
-
-    PowerSource *draw_sink =
-        config_.solarPowered
-            ? static_cast<PowerSource *>(solar.get())
-            : static_cast<PowerSource *>(grid.get());
-
-    // ---- Checkpointing ------------------------------------------
-    // Snapshots are taken at the top of the loop, at a tick
-    // boundary, and mutate no simulation state; restoring one
-    // reproduces every input the remaining ticks depend on. That is
-    // the whole exactness argument (DESIGN.md §14): checkpointed,
-    // killed-and-resumed and uninterrupted runs execute the same
-    // floating-point operations in the same order, so the final
-    // SimResult is byte-identical at %.17g.
-    std::size_t tick_i = 0;
-
-    auto checkpoint_payload = [&](std::uint64_t at_tick) {
-        CheckpointWriter w;
-        w.putDouble("meta.duration_s", config_.durationSeconds);
-        w.putDouble("meta.tick_s", config_.tickSeconds);
-        w.putDouble("meta.slot_s", config_.slotSeconds);
-        w.putU64("meta.seed", config_.seed);
-        w.putU64("meta.fault_seed", config_.faultSeed);
-        w.putU64("meta.servers", config_.numServers);
-        w.putString("meta.scheme", scheme.name());
-        w.putString("meta.workload", workload.name());
-        w.putBool("meta.fast_forward", config_.fastForward);
-        w.putBool("meta.solar", config_.solarPowered);
-        w.putBool("meta.faults", config_.faultInjection);
-        w.putU64("sim.tick", at_tick);
-        domain.checkpointSave(w, "rack.");
-        if (config_.solarPowered) {
-            w.putDouble("sink.solar_harvested_wh",
-                        solar->harvestedWh());
-        } else {
-            UtilityGrid::State s = grid->state();
-            w.putDouble("sink.grid.energy_wh", s.energyWh);
-            w.putDouble("sink.grid.current_peak", s.currentPeak);
-            w.putDouble("sink.grid.period_start", s.periodStart);
-            w.putBool("sink.grid.saw_draw", s.sawDraw);
-            w.putDoubles("sink.grid.peaks", s.peaks);
-        }
-        return w.payload();
-    };
-
-    if (ckpt.resume) {
-        std::string payload, path;
-        std::uint64_t at_tick = 0;
-        if (newestValidCheckpoint(ckpt.dir, "sim", payload, path,
-                                  at_tick)) {
-            CheckpointReader r;
-            std::string error;
-            if (!r.parse(payload, error))
-                fatal("checkpoint ", path, ": ", error);
-            auto guard = [&](bool ok, const char *field) {
-                if (!ok)
-                    fatal("checkpoint ", path,
-                          " was written under a different ", field,
-                          "; refusing to resume");
-            };
-            guard(r.getDouble("meta.duration_s") ==
-                      config_.durationSeconds,
-                  "duration");
-            guard(r.getDouble("meta.tick_s") == config_.tickSeconds,
-                  "tick length");
-            guard(r.getDouble("meta.slot_s") == config_.slotSeconds,
-                  "slot length");
-            guard(r.getU64("meta.seed") == config_.seed, "seed");
-            guard(r.getU64("meta.fault_seed") == config_.faultSeed,
-                  "fault seed");
-            guard(r.getU64("meta.servers") == config_.numServers,
-                  "server count");
-            guard(r.getString("meta.scheme") == scheme.name(),
-                  "scheme");
-            guard(r.getString("meta.workload") == workload.name(),
-                  "workload");
-            guard(r.getBool("meta.fast_forward") ==
-                      config_.fastForward,
-                  "fast-forward setting");
-            guard(r.getBool("meta.solar") == config_.solarPowered,
-                  "supply kind");
-            guard(r.getBool("meta.faults") == config_.faultInjection,
-                  "fault-injection setting");
-            domain.checkpointLoad(r, "rack.");
-            if (config_.solarPowered) {
-                solar->restoreHarvestedWh(
-                    r.getDouble("sink.solar_harvested_wh"));
-            } else {
-                UtilityGrid::State s;
-                s.energyWh = r.getDouble("sink.grid.energy_wh");
-                s.currentPeak =
-                    r.getDouble("sink.grid.current_peak");
-                s.periodStart =
-                    r.getDouble("sink.grid.period_start");
-                s.sawDraw = r.getBool("sink.grid.saw_draw");
-                s.peaks = r.getDoubles("sink.grid.peaks");
-                grid->restoreState(s);
-            }
-            tick_i = static_cast<std::size_t>(at_tick);
-            inform("resumed from ", path, " at tick ", tick_i,
-                   " (t=", static_cast<double>(tick_i) * dt, " s)");
-        } else {
-            warn("no valid checkpoint under ", ckpt.dir,
-                 "; starting from t=0");
-        }
-    }
-
-    // Next periodic snapshot: the first multiple of the period not
-    // yet reached (so resuming does not rewrite old checkpoints).
-    std::uint64_t ckpt_seq = 0;
-    if (ckpt.everySimSeconds > 0.0)
-        ckpt_seq = static_cast<std::uint64_t>(
-            static_cast<double>(tick_i) * dt / ckpt.everySimSeconds);
-
-    if (ckpt.enabled()) {
-        installCheckpointOnFatal([&]() {
-            writeCheckpointFile(ckpt.dir + "/sim-emergency" +
-                                    kAbortedCheckpointSuffix,
-                                checkpoint_payload(tick_i));
-        });
-    }
-
-    while (tick_i < ticks) {
-        double now = static_cast<double>(tick_i) * dt;
-
-        if (ckpt.everySimSeconds > 0.0 &&
-            now >= static_cast<double>(ckpt_seq + 1) *
-                       ckpt.everySimSeconds) {
-            ++ckpt_seq;
-            writeCheckpointFile(
-                checkpointFilePath(ckpt.dir, "sim", tick_i),
-                checkpoint_payload(tick_i));
-        }
-        double supply = config_.solarPowered
-                            ? solar->availablePowerW(now)
-                            : (ats ? ats->availablePowerW(now)
-                                   : grid->availablePowerW(now));
-        domain.computeDemand(now);
-        RackDomain::TickOutcome outcome = domain.tick(now, supply);
-        draw_sink->recordDraw(now, outcome.sourceDrawW, dt);
-        ++tick_i;
-
-        if (!config_.fastForward || tick_i >= ticks)
-            continue;
-        // Cheap guard: a tick that just drew on the buffers (or shed)
-        // is the start of mismatch physics — stay dense until a calm
-        // tick re-establishes quiescence.
-        if (outcome.unservedW > 0.0 || outcome.demandW > supply)
-            continue;
-
-        // Event horizon: the earliest instant after `now` at which
-        // any input to the tick may change — workload, faults, slot
-        // boundary, converter restart (domain side) or outage edge,
-        // ATS window, solar sample (supply side).
-        double horizon = domain.nextEventHorizon(now);
-        if (config_.solarPowered) {
-            horizon =
-                std::min(horizon, solar->nextChangeTime(now));
-        } else {
-            horizon = std::min(horizon,
-                               ats ? ats->nextChangeTime(now)
-                                   : grid->nextChangeTime(now));
-        }
-        double t1 = static_cast<double>(tick_i) * dt;
-        if (horizon <= t1)
-            continue;
-
-        std::size_t n;
-        if (std::isinf(horizon)) {
-            n = ticks - tick_i;
-        } else {
-            std::size_t last = lastTickBefore(horizon, dt);
-            if (last < tick_i)
-                continue;
-            n = std::min(last - tick_i + 1, ticks - tick_i);
-        }
-
-        double supply_ff =
-            config_.solarPowered
-                ? solar->availablePowerW(t1)
-                : (ats ? ats->availablePowerW(t1)
-                       : grid->availablePowerW(t1));
-        tick_i += domain.fastForward(n, supply_ff, *draw_sink);
-    }
-
-    if (ckpt.enabled())
-        clearCheckpointOnFatal();
-
-    SimResult result;
-    result.schemeName = scheme.name();
-    result.workloadName = workload.name();
-    result.workloadPeakClass = workload.peakClass();
-    domain.finalize(result);
+    FleetOptions options;
+    options.mode =
+        config_.fastForward ? FleetMode::Event : FleetMode::Dense;
+    FleetSimulator fleet(config_, config_.budgetW, options);
+    FleetResult result =
+        fleet.run({RackSpec{"rack0", &workload, &scheme}}, ckpt);
     obs::MetricsRegistry::global().counter("sim.runs_total").inc();
-
-    if (config_.solarPowered) {
-        double gen = solar->totalGenerationWh();
-        if (gen > 0.0) {
-            // Spilled generation = generated - everything drawn.
-            result.ledger.spilledSourceWh = std::max(
-                0.0, gen - solar->harvestedWh());
-            result.reu = std::clamp(
-                (result.ledger.sourceToLoadWh +
-                 result.ledger.sourceToBuffersWh()) /
-                    gen,
-                0.0, 1.0);
-        }
-    }
-    return result;
+    return std::move(result.racks[0]);
 }
 
 } // namespace heb

@@ -17,13 +17,17 @@
  *
  * map() preserves input ordering — results[i] is fn(items[i]) no
  * matter which lane ran it — so a parallel sweep is byte-identical
- * to the serial one. The job count defaults to
- * hardware_concurrency, overridable with the HEB_JOBS environment
- * variable and the --jobs flag of heb_sim and the benches.
+ * to the serial one. It rests on forEachIndex(), which runs a batch
+ * inline in the caller, allocation- and lock-free, when only the
+ * caller's lane would work on it; the fleet calls it every tick.
+ * The job count defaults to hardware_concurrency, overridable with
+ * the HEB_JOBS environment variable and the --jobs flag of heb_sim
+ * and the benches.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -59,39 +63,45 @@ class ThreadPool
     std::size_t jobs() const { return jobs_; }
 
     /**
-     * Run fn over every item, preserving input order: results[i] is
-     * fn(items[i]). The caller participates, so nested map() calls
-     * on the same pool cannot deadlock, and a 1-job pool degrades to
-     * plain serial execution in the calling thread. The first
-     * exception thrown by fn is rethrown here after every item has
-     * been attempted.
+     * Run fn(i) for every i in [0, n) across the pool's lanes and
+     * return when all have finished. The caller participates, so
+     * nested calls on the same pool cannot deadlock. When only the
+     * caller's lane would run — a 1-job pool or n == 1 — the calls
+     * run inline, in index order, with no shared batch state and no
+     * lock. Every index is attempted even after a failure; the first
+     * exception thrown by fn is rethrown here once all have run.
      */
-    template <typename T, typename Fn>
-    auto
-    map(const std::vector<T> &items, Fn fn)
-        -> std::vector<std::invoke_result_t<Fn &, const T &>>
+    template <typename Fn>
+    void
+    forEachIndex(std::size_t n, Fn &&fn)
     {
-        using R = std::invoke_result_t<Fn &, const T &>;
-        static_assert(std::is_default_constructible_v<R>,
-                      "ThreadPool::map needs a default-constructible "
-                      "result type");
-        const std::size_t n = items.size();
-        std::vector<R> results(n);
         if (n == 0)
-            return results;
+            return;
+        if (jobs_ == 1 || n == 1) {
+            std::exception_ptr error;
+            for (std::size_t i = 0; i < n; ++i) {
+                try {
+                    fn(i);
+                } catch (...) {
+                    if (!error)
+                        error = std::current_exception();
+                }
+            }
+            if (error)
+                std::rethrow_exception(error);
+            return;
+        }
 
         auto batch = std::make_shared<Batch>();
-        const T *in = items.data();
-        R *out = results.data();
-        Fn *f = &fn;
-        auto run_one = [batch, in, out, f, n]() {
+        auto *f = &fn;
+        auto run_one = [batch, f, n]() {
             for (;;) {
                 std::size_t i = batch->next.fetch_add(
                     1, std::memory_order_relaxed);
                 if (i >= n)
                     return;
                 try {
-                    out[i] = (*f)(in[i]);
+                    (*f)(i);
                 } catch (...) {
                     std::lock_guard<std::mutex> lock(batch->mu);
                     if (!batch->error)
@@ -108,7 +118,7 @@ class ThreadPool
         };
 
         // Helpers only add concurrency; the caller alone completes
-        // the batch when every worker is busy (or there are none).
+        // the batch when every worker is busy.
         std::size_t helpers =
             std::min(jobs_ - 1, n - 1);
         for (std::size_t h = 0; h < helpers; ++h)
@@ -121,6 +131,26 @@ class ThreadPool
         });
         if (batch->error)
             std::rethrow_exception(batch->error);
+    }
+
+    /**
+     * Run fn over every item, preserving input order: results[i] is
+     * fn(items[i]). Built on forEachIndex(), so it shares its lane,
+     * inline and exception rules.
+     */
+    template <typename T, typename Fn>
+    auto
+    map(const std::vector<T> &items, Fn fn)
+        -> std::vector<std::invoke_result_t<Fn &, const T &>>
+    {
+        using R = std::invoke_result_t<Fn &, const T &>;
+        static_assert(std::is_default_constructible_v<R>,
+                      "ThreadPool::map needs a default-constructible "
+                      "result type");
+        std::vector<R> results(items.size());
+        forEachIndex(items.size(), [&](std::size_t i) {
+            results[i] = fn(items[i]);
+        });
         return results;
     }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Checkpoint/restore tests: the kill-and-resume byte-identity
- * witness (single rack dense, fast-forward, solar; fleet event mode
- * across job counts) plus rejection of corrupt, truncated and
- * version-skewed files and newest-valid selection.
+ * witness (single rack dense, fast-forward, solar — all in the
+ * one-rack fleet format; fleet event mode across job counts) plus
+ * rejection of corrupt, truncated and version-skewed files and
+ * newest-valid selection.
  */
 
 #include <gtest/gtest.h>
@@ -78,11 +79,12 @@ expectResumeByteIdentical(const SimConfig &cfg, const std::string &tag)
         << "checkpointing perturbed the run";
 
     // "Kill" the run between the 1/3 and 2/3 snapshots: drop the
-    // newest checkpoint so resume restarts from mid-run state.
+    // newest checkpoint's manifest so resume restarts from mid-run
+    // state. A Simulator run writes the one-rack fleet format.
     std::vector<std::uint64_t> ticks =
-        listCheckpointTicks(every.dir, "sim");
+        listCheckpointTicks(every.dir, "fleet");
     ASSERT_GE(ticks.size(), 2u);
-    fs::remove(checkpointFilePath(every.dir, "sim", ticks.front()));
+    fs::remove(checkpointFilePath(every.dir, "fleet", ticks.front()));
 
     CheckpointOptions resume;
     resume.dir = every.dir;
@@ -349,15 +351,21 @@ TEST(Checkpoint, BadMagicRejected)
     EXPECT_FALSE(readCheckpointFile(path, payload, error));
 }
 
-TEST(Checkpoint, NewestValidSelectedCorruptNewestSkipped)
+TEST(Checkpoint, ResumeSkipsCorruptNewestManifest)
 {
-    std::string dir = freshDir("newest");
-    writeSmallCheckpoint(dir, 100);
-    writeSmallCheckpoint(dir, 200);
-    std::string newest = writeSmallCheckpoint(dir, 300);
+    // Corrupt the newest manifest: resume must skip it with a warning,
+    // restore the older checkpoint and still finish byte-identical.
+    SimConfig cfg = witnessConfig();
+    const std::string reference = runToJson(cfg);
+    CheckpointOptions every;
+    every.everySimSeconds = cfg.durationSeconds / 3.0;
+    every.dir = freshDir("newest");
+    runToJson(cfg, every);
+    std::vector<std::uint64_t> ticks =
+        listCheckpointTicks(every.dir, "fleet");
+    ASSERT_EQ(ticks.size(), 2u);
 
-    // Corrupt the newest: selection must fall back to tick 200.
-    std::fstream f(newest,
+    std::fstream f(checkpointFilePath(every.dir, "fleet", ticks[0]),
                    std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(0, std::ios::end);
     auto size = static_cast<long>(f.tellg());
@@ -365,15 +373,18 @@ TEST(Checkpoint, NewestValidSelectedCorruptNewestSkipped)
     f.put('#');
     f.close();
 
-    std::string payload, path;
-    std::uint64_t tick = 0;
-    ASSERT_TRUE(
-        newestValidCheckpoint(dir, "sim", payload, path, tick));
-    EXPECT_EQ(tick, 200u);
-    EXPECT_EQ(path, checkpointFilePath(dir, "sim", 200));
+    CheckpointOptions resume;
+    resume.dir = every.dir;
+    resume.resume = true;
+    ::testing::internal::CaptureStderr();
+    std::string resumed = runToJson(cfg, resume);
+    std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("checksum"), std::string::npos) << log;
+    EXPECT_EQ(log.find("no valid"), std::string::npos) << log;
+    EXPECT_EQ(resumed, reference);
 }
 
-TEST(Checkpoint, AbortedEmergencyFilesNeverAutoSelected)
+TEST(Checkpoint, AbortedEmergencyFilesNeverListed)
 {
     std::string dir = freshDir("aborted");
     writeSmallCheckpoint(dir, 50);
@@ -383,21 +394,13 @@ TEST(Checkpoint, AbortedEmergencyFilesNeverAutoSelected)
     ASSERT_TRUE(writeCheckpointFile(
         dir + "/sim-emergency" + kAbortedCheckpointSuffix,
         w.payload()));
-
-    std::string payload, path;
-    std::uint64_t tick = 0;
-    ASSERT_TRUE(
-        newestValidCheckpoint(dir, "sim", payload, path, tick));
-    EXPECT_EQ(tick, 50u);
+    EXPECT_EQ(listCheckpointTicks(dir, "sim"),
+              (std::vector<std::uint64_t>{50}));
 }
 
 TEST(Checkpoint, EmptyDirectoryHasNoCheckpoint)
 {
     std::string dir = freshDir("empty");
-    std::string payload, path;
-    std::uint64_t tick = 0;
-    EXPECT_FALSE(
-        newestValidCheckpoint(dir, "sim", payload, path, tick));
     EXPECT_TRUE(listCheckpointTicks(dir, "sim").empty());
 }
 

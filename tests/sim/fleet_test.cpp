@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "core/schemes.h"
+#include "fault/fault_plan.h"
 #include "power/solar_array.h"
 #include "sim/experiment.h"
 #include "sim/fleet.h"
 #include "sim/plan_cache.h"
+#include "sim/simulator.h"
 #include "util/thread_pool.h"
 #include "workload/workload_profiles.h"
 
@@ -93,14 +95,37 @@ TEST(Fleet, PerRackMetricsIndependent)
               r.racks[2].ledger.bufferToLoadWh());
 }
 
-TEST(Fleet, SingleRackMatchesSimulatorShape)
+TEST(Fleet, SingleRackEqualsSimulatorWithOutagesFaultsAndSolar)
 {
-    FleetRig rig;
-    std::vector<RackSpec> one = {rig.specs[1]}; // WC
-    FleetSimulator fleet(rig.cfg, 260.0, BudgetPolicy::Static);
-    FleetResult r = fleet.run(one);
-    ASSERT_EQ(r.racks.size(), 1u);
-    EXPECT_GT(r.racks[0].energyEfficiency, 0.8);
+    // A one-rack fleet on the dense engine is the Simulator (event
+    // engine here) down to the last ulp, including the supply: the
+    // outages, the fault plan's ATS windows and the solar trace.
+    SimConfig utility;
+    utility.durationSeconds = 4.0 * 3600.0;
+    utility.outages = {{3630.0, 310.0}};
+    utility.faultInjection = true;
+    utility.faultPlan.atsFailuresPerDay = 24.0;
+    SimConfig solar;
+    solar.durationSeconds = 4.0 * 3600.0;
+    solar.solarPowered = true;
+    solar.solarParams.sunriseHour = 0.5;
+    for (const SimConfig &cfg : {utility, solar}) {
+        auto workload = makeWorkload("WC");
+        auto sim_scheme = makeScheme(SchemeKind::HebD);
+        SimResult sim = Simulator(cfg).run(*workload, *sim_scheme);
+
+        auto fleet_scheme = makeScheme(SchemeKind::HebD);
+        FleetResult fleet =
+            FleetSimulator(cfg, cfg.budgetW,
+                           FleetOptions{BudgetPolicy::Static,
+                                        FleetMode::Dense, true})
+                .run({RackSpec{"rack0", workload.get(),
+                               fleet_scheme.get()}});
+        ASSERT_EQ(fleet.racks.size(), 1u);
+        EXPECT_EQ(simResultToJson(fleet.racks[0]),
+                  simResultToJson(sim))
+            << (cfg.solarPowered ? "solar" : "utility");
+    }
 }
 
 TEST(Fleet, InvalidInputsFatal)
@@ -471,6 +496,115 @@ TEST(FleetEvent, SlimJobs1VsNIdentical)
     FleetResult pooled = run(4);
     ThreadPool::configureGlobal(0);
     EXPECT_EQ(fleetResultToJson(serial), fleetResultToJson(pooled));
+}
+
+/** Two calm racks sharing one feed, per-rack results kept. */
+FleetResult
+runTwoCalmRacks(const SimConfig &cfg, FleetMode mode,
+                std::size_t jobs)
+{
+    ThreadPool::configureGlobal(jobs);
+    std::vector<std::unique_ptr<SyntheticWorkload>> workloads;
+    std::vector<std::unique_ptr<ManagementScheme>> schemes;
+    std::vector<RackSpec> specs;
+    const double utils[2] = {0.30, 0.22};
+    const char *names[2] = {"CA", "CB"};
+    for (std::size_t i = 0; i < 2; ++i) {
+        workloads.push_back(std::make_unique<SyntheticWorkload>(
+            calmProfile(names[i], utils[i]), i + 1));
+        schemes.push_back(makeScheme(SchemeKind::HebD));
+        specs.push_back(RackSpec{"rack" + std::to_string(i),
+                                 workloads[i].get(),
+                                 schemes[i].get()});
+    }
+    FleetResult r =
+        FleetSimulator(cfg, 2.0 * 260.0,
+                       FleetOptions{BudgetPolicy::Proportional, mode,
+                                    true})
+            .run(specs);
+    ThreadPool::configureGlobal(0);
+    return r;
+}
+
+/**
+ * Every rack's supply sample is 0 exactly at the ticks inside
+ * @p windows ((start, duration) seconds) and positive elsewhere.
+ */
+void
+expectSupplyCutIn(const FleetResult &r,
+                  const std::vector<std::pair<double, double>> &windows,
+                  double dt)
+{
+    for (std::size_t k = 0; k < r.racks.size(); ++k) {
+        const std::vector<double> &supply =
+            r.racks[k].supplyW.samples();
+        ASSERT_FALSE(supply.empty());
+        std::size_t cut = 0, wrong = 0;
+        for (std::size_t i = 0; i < supply.size(); ++i) {
+            double t = static_cast<double>(i) * dt;
+            bool inside = false;
+            for (auto [start, duration] : windows)
+                inside |= t >= start && t < start + duration;
+            cut += inside;
+            wrong += inside ? supply[i] != 0.0 : !(supply[i] > 0.0);
+        }
+        EXPECT_GT(cut, 0u) << "rack " << k << ": no tick in a window";
+        EXPECT_EQ(wrong, 0u) << "rack " << k;
+    }
+}
+
+TEST(FleetSupply, OutageCutsEveryRackOnEveryEngine)
+{
+    SimConfig cfg;
+    cfg.durationSeconds = 4.0 * 3600.0;
+    // Off the 600 s slot grid, so only the feed horizon stops a span
+    // at the outage edges.
+    cfg.outages = {{5430.0, 610.0}};
+    FleetResult dense = runTwoCalmRacks(cfg, FleetMode::Dense, 1);
+    FleetResult event = runTwoCalmRacks(cfg, FleetMode::Event, 1);
+    FleetResult pooled = runTwoCalmRacks(cfg, FleetMode::Event, 4);
+    expectSupplyCutIn(dense, cfg.outages, cfg.tickSeconds);
+    EXPECT_GT(event.macroSpans, 0ul) << "event engine never engaged";
+    EXPECT_EQ(fleetJson(event), fleetJson(dense));
+    expectAggregatesIdentical(event, dense);
+    EXPECT_EQ(fleetResultToJson(pooled), fleetResultToJson(event));
+}
+
+TEST(FleetSupply, AtsWindowsCutEveryRack)
+{
+    // A fault plan of ATS transfer failures only.
+    SimConfig cfg;
+    cfg.durationSeconds = 4.0 * 3600.0;
+    cfg.faultInjection = true;
+    cfg.faultPlan = fault::FaultPlanParams{};
+    cfg.faultPlan.weakCellsPerDay = 0.0;
+    cfg.faultPlan.scAgingEventsPerDay = 0.0;
+    cfg.faultPlan.converterTripsPerDay = 0.0;
+    cfg.faultPlan.sensorDropoutsPerDay = 0.0;
+    cfg.faultPlan.sensorJitterEventsPerDay = 0.0;
+    cfg.faultPlan.atsFailuresPerDay = 24.0;
+    std::vector<std::pair<double, double>> windows;
+    for (const fault::FaultEvent &ev :
+         fault::FaultPlan::generate(cfg.faultPlan, cfg.durationSeconds,
+                                    cfg.faultSeed)
+             .ofKind(fault::FaultKind::AtsTransferFailure))
+        windows.emplace_back(ev.startSeconds, ev.durationSeconds);
+    ASSERT_FALSE(windows.empty());
+
+    FleetResult dense = runTwoCalmRacks(cfg, FleetMode::Dense, 1);
+    FleetResult event = runTwoCalmRacks(cfg, FleetMode::Event, 4);
+    expectSupplyCutIn(dense, windows, cfg.tickSeconds);
+    EXPECT_EQ(fleetJson(event), fleetJson(dense));
+    expectAggregatesIdentical(event, dense);
+}
+
+TEST(FleetSupply, SolarFeedTakesOneRack)
+{
+    SimConfig cfg;
+    cfg.durationSeconds = 2.0 * 3600.0;
+    cfg.solarPowered = true;
+    EXPECT_EXIT(runTwoCalmRacks(cfg, FleetMode::Dense, 1),
+                testing::ExitedWithCode(1), "solarPowered");
 }
 
 /** The cache-shared solar trace is the privately-generated trace. */

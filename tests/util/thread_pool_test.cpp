@@ -5,8 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/logging.h"
@@ -56,21 +58,54 @@ TEST(ThreadPool, MapOfEmptyInputReturnsEmpty)
 
 TEST(ThreadPool, FirstExceptionPropagatesAfterFullDrain)
 {
-    ThreadPool pool(4);
-    std::vector<int> items(50);
-    std::iota(items.begin(), items.end(), 0);
-    std::atomic<int> attempted{0};
-    EXPECT_THROW(
-        pool.map(items,
-                 [&attempted](int v) {
-                     attempted.fetch_add(1);
-                     if (v == 13)
-                         throw std::runtime_error("boom");
-                     return v;
-                 }),
-        std::runtime_error);
-    // A failure poisons the batch result but never abandons items.
-    EXPECT_EQ(attempted.load(), 50);
+    // A pooled batch, then the two inline shapes: a 1-job pool and a
+    // 1-item batch on a 4-job pool.
+    struct Case
+    {
+        std::size_t jobs;
+        int items;
+    };
+    for (Case c : {Case{4, 50}, Case{1, 50}, Case{4, 1}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.jobs << " jobs, " << c.items << " items");
+        const bool inline_path = c.jobs == 1 || c.items == 1;
+        ThreadPool pool(c.jobs);
+        std::vector<int> items(static_cast<std::size_t>(c.items));
+        std::iota(items.begin(), items.end(), 0);
+        const int first_bad = c.items == 1 ? 0 : 13;
+        std::atomic<int> attempted{0};
+        std::mutex mu;
+        std::vector<int> order;
+        const std::thread::id caller = std::this_thread::get_id();
+        try {
+            pool.map(items, [&](int v) {
+                attempted.fetch_add(1);
+                {
+                    std::lock_guard<std::mutex> lock(mu);
+                    order.push_back(v);
+                }
+                if (inline_path) {
+                    EXPECT_EQ(std::this_thread::get_id(), caller);
+                }
+                if (v == first_bad || v == first_bad + 7)
+                    throw std::runtime_error("boom " +
+                                             std::to_string(v));
+                return v;
+            });
+            ADD_FAILURE() << "map must rethrow the batch exception";
+        } catch (const std::runtime_error &e) {
+            // Inline, "first" is first in input order.
+            if (inline_path) {
+                EXPECT_EQ(std::string(e.what()),
+                          "boom " + std::to_string(first_bad));
+            }
+        }
+        // A failure poisons the batch result but never abandons items.
+        EXPECT_EQ(attempted.load(), c.items);
+        if (inline_path) {
+            EXPECT_EQ(order, items);
+        }
+    }
 }
 
 TEST(ThreadPool, NestedMapOnSamePoolCompletes)

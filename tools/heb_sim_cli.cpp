@@ -92,7 +92,9 @@ usage()
         "  --jobs sets the shared sweep pool width "
         "(HEB_JOBS honoured; default: all cores)\n"
         "  --checkpoint-every writes a resumable snapshot every N "
-        "sim-seconds into --checkpoint-dir;\n"
+        "sim-seconds into --checkpoint-dir,\n"
+        "  in the one-rack fleet format (fleet-<tick>.ckpt plus "
+        "fleet-<tick>-rack0.ckpt);\n"
         "  --resume restarts from the newest valid snapshot there. "
         "The final result is byte-identical\n"
         "  to an uninterrupted run. --result-json writes the full "
