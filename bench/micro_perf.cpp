@@ -12,6 +12,7 @@
 #include "core/pat.h"
 #include "core/predictor.h"
 #include "core/schemes.h"
+#include "esd/bank_builder.h"
 #include "esd/battery.h"
 #include "esd/supercapacitor.h"
 #include "obs/metrics.h"
@@ -82,6 +83,29 @@ BM_DispatchMismatch(benchmark::State &state)
 }
 BENCHMARK(BM_DispatchMismatch);
 
+// The PAT valley step: SC-first charge dispatch of a 40 W surplus over
+// the default banks (two SC modules, two battery strings). Planning,
+// the pool's proportional split and each device's clamp all read the
+// battery's charge ceiling; the device memo evaluates it once a step.
+void
+BM_DispatchChargeBanks(benchmark::State &state)
+{
+    SimConfig cfg;
+    auto sc = makeScBank(cfg.scEnergyWh, cfg.scDod);
+    auto ba = makeBatteryBank(cfg.baEnergyWh, cfg.baDod);
+    sc->setSoc(0.2);
+    ba->setSoc(0.3);
+    for (auto _ : state) {
+        ChargeResult res = dispatchCharge(*sc, *ba, 40.0, true, 1.0);
+        benchmark::DoNotOptimize(res);
+        if (ba->soc() > 0.85) {
+            sc->setSoc(0.2);
+            ba->setSoc(0.3);
+        }
+    }
+}
+BENCHMARK(BM_DispatchChargeBanks);
+
 void
 BM_HoltWintersObserve(benchmark::State &state)
 {
@@ -127,6 +151,22 @@ BM_WorkloadUtilization(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WorkloadUtilization);
+
+// One rack's demand step: batched WC utilizations for six servers.
+void
+BM_WorkloadUtilizations(benchmark::State &state)
+{
+    auto w = makeWorkload("WC");
+    double util[6];
+    double t = 0.0;
+    for (auto _ : state) {
+        w->utilizations(t, util);
+        benchmark::DoNotOptimize(util);
+        benchmark::ClobberMemory();
+        t += 1.0;
+    }
+}
+BENCHMARK(BM_WorkloadUtilizations);
 
 void
 BM_SimulatorDay(benchmark::State &state)

@@ -55,6 +55,7 @@ void
 Battery::reset()
 {
     s_ = BatteryState{};
+    ceilings_ = Ceilings{};
     s_.y1 = params_.kibamC * params_.capacityAh;
     s_.y2 = (1.0 - params_.kibamC) * params_.capacityAh;
     s_.tempC = params_.ambientC;
@@ -70,6 +71,7 @@ Battery::applyHealthDerate(double capacity_factor,
     if (resistance_factor < 1.0)
         fatal("Battery health resistance factor must be >= 1, got ",
               resistance_factor);
+    ceilings_ = Ceilings{};
     s_.healthCap *= capacity_factor;
     s_.healthRes *= resistance_factor;
     // A lost cell takes its stored charge with it: scale both wells
@@ -85,6 +87,7 @@ Battery::setSoc(double soc)
         fatal("Battery::setSoc out of range: ", soc);
     // Equilibrium split between the wells.
     double q = soc * effectiveCapacityAh();
+    ceilings_ = Ceilings{};
     s_.y1 = params_.kibamC * q;
     s_.y2 = (1.0 - params_.kibamC) * q;
 }
@@ -237,6 +240,8 @@ Battery::maxDischargePowerW(double dt_seconds) const
 double
 Battery::maxDischargePowerW(const StepTerms &u) const
 {
+    if (ceilings_.dischargeDt == u.dtSeconds)
+        return ceilings_.dischargeW;
     double t = u.tHours;
     double q_floor = (1.0 - params_.dodLimit) * effectiveCapacityAh();
     double dod_limit_a =
@@ -245,9 +250,12 @@ Battery::maxDischargePowerW(const StepTerms &u) const
                          voltageLimitedCurrent(),
                          params_.maxDischargeCRate * params_.capacityAh,
                          dod_limit_a});
-    if (i <= 0.0)
-        return 0.0;
-    return (openCircuitVoltage() - i * effectiveResistance()) * i;
+    double p = i <= 0.0
+                   ? 0.0
+                   : (openCircuitVoltage() - i * effectiveResistance()) * i;
+    ceilings_.dischargeDt = u.dtSeconds;
+    ceilings_.dischargeW = p;
+    return p;
 }
 
 [[gnu::flatten]] double
@@ -259,6 +267,8 @@ Battery::maxChargePowerW(double dt_seconds) const
 double
 Battery::maxChargePowerW(const StepTerms &u) const
 {
+    if (ceilings_.chargeDt == u.dtSeconds)
+        return ceilings_.chargeW;
     double t = u.tHours;
     double eff = params_.coulombicEfficiency;
     double headroom_ah =
@@ -271,7 +281,10 @@ Battery::maxChargePowerW(const StepTerms &u) const
         {params_.maxChargeCRate * params_.capacityAh *
              thermalChargeDerate(),
          kibamMaxChargeCurrent(u) / eff, headroom_a, v_limit_a});
-    return i <= 0.0 ? 0.0 : (ocv + i * r) * i;
+    double p = i <= 0.0 ? 0.0 : (ocv + i * r) * i;
+    ceilings_.chargeDt = u.dtSeconds;
+    ceilings_.chargeW = p;
+    return p;
 }
 
 [[gnu::flatten]] bool
@@ -289,6 +302,9 @@ Battery::stepWells(const StepTerms &u, double current_a)
     double c = params_.kibamC;
     double q0 = s_.y1 + s_.y2;
     double i = current_a;
+    // The step's later writes (weightedAh, temperature) all happen
+    // before any ceiling is asked for again: one clear covers them.
+    ceilings_ = Ceilings{};
 
     double y1 = s_.y1 * u.ekt + (q0 * k * c - i) * u.oneMinusEkt / k -
                 i * c * (u.kt - u.oneMinusEkt) / k;
@@ -305,6 +321,7 @@ Battery::stepThermal(const StepTerms &u, double loss_w)
 {
     if (!params_.thermalEnabled)
         return;
+    ceilings_ = Ceilings{};
     double target =
         params_.ambientC + loss_w * params_.thermalResistanceCPerW;
     s_.tempC += (target - s_.tempC) * u.thermalAlpha;

@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <limits>
 #include <string>
 
 #include "esd/battery_params.h"
@@ -135,7 +136,12 @@ class Battery final : public EnergyStorageDevice
     BatteryState state() const { return s_; }
 
     /** Restore a state previously captured with state(). */
-    void restoreState(const BatteryState &s) { s_ = s; }
+    void
+    restoreState(const BatteryState &s)
+    {
+        s_ = s;
+        ceilings_ = Ceilings{};
+    }
 
   private:
     /**
@@ -163,6 +169,23 @@ class Battery final : public EnergyStorageDevice
      */
     const StepTerms &terms(double dt_seconds) const;
 
+    /**
+     * The last maxChargePowerW / maxDischargePowerW results, each
+     * keyed on its step length (NaN: none). The ceilings are pure
+     * functions of (params_, s_, dt), and dispatch planning, the
+     * pool's split and the device's own clamp ask for the same one in
+     * turn, so every write to s_ clears them: stepWells, stepThermal,
+     * reset, setSoc, applyHealthDerate and restoreState. Same thread
+     * contract as the StepTerms memo.
+     */
+    struct Ceilings
+    {
+        double chargeDt = std::numeric_limits<double>::quiet_NaN();
+        double chargeW = 0.0;
+        double dischargeDt = std::numeric_limits<double>::quiet_NaN();
+        double dischargeW = 0.0;
+    };
+
     double kibamMaxDischargeCurrent(const StepTerms &u) const;
     double kibamMaxChargeCurrent(const StepTerms &u) const;
     double maxDischargePowerW(const StepTerms &u) const;
@@ -186,6 +209,7 @@ class Battery final : public EnergyStorageDevice
     BatteryParams params_;
     BatteryState s_;
     mutable StepTerms terms_;
+    mutable Ceilings ceilings_;
 };
 
 } // namespace heb

@@ -192,7 +192,8 @@ EsdPool::terminalVoltage(double load_watts) const
     // Report the weakest member's terminal voltage under its share of
     // the load: the first point the system would brown out.
     double total_cap = 0.0;
-    std::vector<double> caps(devices_.size());
+    SplitBuffer split(devices_.size());
+    double *caps = split.data();
     for (std::size_t i = 0; i < devices_.size(); ++i) {
         caps[i] = devices_[i]->maxDischargePowerW(1.0);
         total_cap += caps[i];

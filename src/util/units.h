@@ -9,6 +9,10 @@
 
 #pragma once
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 namespace heb {
 
 /** Watts per kilowatt. */
@@ -97,6 +101,26 @@ constexpr double
 ampHours(double amps, double seconds)
 {
     return amps * secondsToHours(seconds);
+}
+
+/**
+ * Exactly std::fmod(@p x, @p y), without the libm call on the common
+ * path: x > 0, y positive and finite, and x/y < 2^52. There the
+ * truncated quotient q is the true one or one more, and the residue
+ * fma(-q, y, x), moved up by y if negative, is exact (DESIGN.md §8).
+ * Every other input, signed zeros included, goes to std::fmod.
+ */
+inline double
+fastFmod(double x, double y)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double quotient = x / y;
+    if (!(x > 0.0 && y > 0.0 && y < kInf && quotient < 0x1p52))
+        return std::fmod(x, y);
+    // 0 <= quotient < 2^52: the integer conversion is floor, inline.
+    double q = static_cast<double>(static_cast<std::int64_t>(quotient));
+    double r = std::fma(-q, y, x);
+    return r < 0.0 ? r + y : r;
 }
 
 } // namespace heb

@@ -37,7 +37,7 @@ phaseAt(const ProfileParams &p, std::uint64_t seed, std::size_t s,
 {
     double stagger = p.serverStagger * period *
                      hash01(seed * 1315423911ULL + s * 2654435761ULL);
-    double phase = std::fmod(t + stagger, period);
+    double phase = fastFmod(t + stagger, period);
     if (phase < 0.0)
         phase += period;
     return phase;
@@ -59,7 +59,7 @@ timeTerms(const ProfileParams &p, double t)
     tt.jitterCell = static_cast<std::uint64_t>(t / 5.0) * 15485863ULL;
     // Optional diurnal envelope (web search / streaming).
     if (p.diurnalDepth > 0.0) {
-        double hour = std::fmod(t / kSecondsPerHour, kHoursPerDay);
+        double hour = fastFmod(t / kSecondsPerHour, kHoursPerDay);
         tt.diurnal = p.diurnalDepth *
                      std::sin(2.0 * std::numbers::pi * (hour - 9.0) /
                               kHoursPerDay);

@@ -1,5 +1,8 @@
 /** @file KiBaM battery physics: the phenomena the paper leans on. */
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "esd/battery.h"
@@ -313,6 +316,115 @@ TEST(Battery, InvalidParamsRejected)
     BatteryParams q;
     q.capacityAh = -1.0;
     EXPECT_EXIT(Battery{q}, testing::ExitedWithCode(1), "capacity");
+}
+
+/**
+ * The ceiling queries of @p warm, whose memo holds whatever the ops so
+ * far left in it, must match bit for bit those of a cold battery
+ * restored to the same state.
+ */
+void
+expectCeilingsMatchCold(const Battery &warm, double dt)
+{
+    Battery cold(warm.params());
+    cold.restoreState(warm.state());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.maxChargePowerW(dt)),
+              std::bit_cast<std::uint64_t>(cold.maxChargePowerW(dt)))
+        << "dt " << dt;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.maxDischargePowerW(dt)),
+              std::bit_cast<std::uint64_t>(cold.maxDischargePowerW(dt)))
+        << "dt " << dt;
+    EXPECT_EQ(warm.depleted(dt), cold.depleted(dt)) << "dt " << dt;
+}
+
+/** splitmix64 step: a portable seeded op source. */
+std::uint64_t
+splitmix(std::uint64_t &s)
+{
+    std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * Drive @p params through a seeded mix of every state-changing op,
+ * switching the tick length, and check the memoized ceilings against
+ * a cold device after each op. Each op runs right after its tick's
+ * ceilings were queried, so a write that failed to clear the memo
+ * would leave it stale.
+ */
+void
+checkCeilingMemo(const BatteryParams &params, std::uint64_t seed)
+{
+    static constexpr double kDts[] = {1.0, 0.5, 600.0};
+    Battery b(params);
+    BatteryState saved = b.state();
+    for (int n = 0; n < 3000; ++n) {
+        double dt = kDts[splitmix(seed) % 3];
+        double frac = static_cast<double>(splitmix(seed) >> 11) * 0x1p-53;
+        expectCeilingsMatchCold(b, dt);
+        // Alternate drain- and charge-heavy stretches so the battery
+        // meets both its floor and its ceiling.
+        bool drain = (n / 200) % 2 == 0;
+        switch (splitmix(seed) % 10) {
+        case 0:
+        case 1:
+        case 2:
+            if (drain)
+                b.discharge(frac * 1.2 * b.maxDischargePowerW(dt), dt);
+            else
+                b.charge(frac * 1.2 * b.maxChargePowerW(dt), dt);
+            break;
+        case 3:
+            if (drain)
+                b.charge(frac * b.maxChargePowerW(dt), dt);
+            else
+                b.discharge(frac * b.maxDischargePowerW(dt), dt);
+            break;
+        case 4:
+            b.rest(dt);
+            break;
+        case 5:
+            b.advanceQuiescent(splitmix(seed) % 20, dt);
+            break;
+        case 6:
+            b.setSoc(frac);
+            break;
+        case 7:
+            b.applyHealthDerate(1.0 - 0.05 * frac, 1.0 + 0.1 * frac);
+            break;
+        case 8:
+            if (frac < 0.5)
+                saved = b.state();
+            else
+                b.restoreState(saved);
+            break;
+        default:
+            if (frac < 0.1)
+                b.reset();
+            else
+                b.rest(dt);
+        }
+        expectCeilingsMatchCold(b, dt);
+        if (testing::Test::HasFailure())
+            FAIL() << params.name << ": op " << n;
+    }
+}
+
+TEST(Battery, CeilingMemoMatchesColdDevice)
+{
+    checkCeilingMemo(BatteryParams::prototypeLeadAcid(), 1);
+
+    BatteryParams aged = BatteryParams::prototypeLeadAcid();
+    aged.agingEnabled = true;
+    aged.thermalEnabled = true;
+    // Hot enough that charging meets the thermal derate.
+    aged.thermalResistanceCPerW = 10.0;
+    aged.thermalTimeConstantS = 300.0;
+    checkCeilingMemo(aged, 2);
+
+    checkCeilingMemo(BatteryParams::liIon24V(4.0), 3);
 }
 
 // --- Property sweep: energy conservation across discharge rates ----
