@@ -1,5 +1,7 @@
 /** @file Multi-rack fleet with shared-budget arbitration. */
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -605,6 +607,109 @@ TEST(FleetSupply, SolarFeedTakesOneRack)
     cfg.solarPowered = true;
     EXPECT_EXIT(runTwoCalmRacks(cfg, FleetMode::Dense, 1),
                 testing::ExitedWithCode(1), "solarPowered");
+}
+
+/** FNV-1a (64-bit) folded over @p text, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const std::string &text)
+{
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/** Three calm racks on @p cfg's feed, per-rack results kept. */
+std::string
+pinnedFleetRun(const SimConfig &cfg, FleetMode mode,
+               BudgetPolicy policy)
+{
+    CalmRig rig(cfg.faultInjection);
+    rig.cfg = cfg;
+    return fleetResultToJson(
+        FleetSimulator(rig.cfg, 3.0 * 260.0,
+                       FleetOptions{policy, mode, true})
+            .run(rig.specs));
+}
+
+TEST(Fleet, ResultDigestsPinned)
+{
+    // fleetResultToJson (aggregates, engine counters and every rack's
+    // series at %.17g) of three calm racks, dense and event, Static
+    // and Proportional, folded into one FNV-1a digest per feed. The
+    // engine counters pin the fleet horizon the feed reports: an
+    // outage or ATS edge that moved would move macro_spans or a
+    // decline counter. Recorded on x86-64 Linux with glibc's libm.
+    SimConfig utility;
+    utility.durationSeconds = 6.0 * 3600.0;
+    // Off the 600 s slot grid, so the feed's horizon ends spans.
+    utility.outages = {{5430.0, 610.0}, {14170.0, 95.0}};
+
+    SimConfig ats;
+    ats.durationSeconds = 6.0 * 3600.0;
+    ats.faultInjection = true;
+    ats.faultPlan.atsFailuresPerDay = 24.0;
+
+    // An outage that starts inside the first ATS window and outlasts
+    // it, and one that swallows the second window whole.
+    SimConfig overlap = ats;
+    std::vector<fault::FaultEvent> windows =
+        fault::FaultPlan::generate(ats.faultPlan, ats.durationSeconds,
+                                   ats.faultSeed)
+            .ofKind(fault::FaultKind::AtsTransferFailure);
+    ASSERT_GE(windows.size(), 2u);
+    overlap.outages = {
+        {windows[0].startSeconds + 0.5 * windows[0].durationSeconds,
+         windows[0].durationSeconds + 300.0},
+        {windows[1].startSeconds - 120.0,
+         windows[1].durationSeconds + 240.0}};
+
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"ats", 0xb8624639c30fe3d3ull},
+        {"outage_over_ats", 0x4d1fa9ded4b92f55ull},
+        {"utility", 0x8af8e0e24ff44a4full},
+    };
+    const std::map<std::string, SimConfig> feeds = {
+        {"ats", ats}, {"outage_over_ats", overlap}, {"utility", utility}};
+    for (const auto &[name, cfg] : feeds) {
+        std::uint64_t h = kFnvBasis;
+        for (FleetMode mode : {FleetMode::Dense, FleetMode::Event})
+            for (BudgetPolicy policy :
+                 {BudgetPolicy::Static, BudgetPolicy::Proportional}) {
+                std::string json = pinnedFleetRun(cfg, mode, policy);
+                if (mode == FleetMode::Event) {
+                    EXPECT_EQ(json.find("\"macro_spans\": 0,"),
+                              std::string::npos)
+                        << name << ": event engine never engaged";
+                }
+                h = fnv1a(h, json);
+            }
+        EXPECT_EQ(h, pinned.at(name))
+            << name << ": 0x" << std::hex << h;
+    }
+
+    // One solar-fed rack: the feed's harvest meter reaches the
+    // result through spilled generation and REU.
+    SimConfig solar;
+    solar.durationSeconds = 4.0 * 3600.0;
+    solar.solarPowered = true;
+    solar.solarParams.sunriseHour = 0.5;
+    solar.solarParams.sunsetHour = 8.0;
+    auto workload = makeWorkload("WS");
+    std::uint64_t h = kFnvBasis;
+    for (FleetMode mode : {FleetMode::Dense, FleetMode::Event}) {
+        auto scheme = makeScheme(SchemeKind::HebD);
+        h = fnv1a(h, fleetResultToJson(
+                         FleetSimulator(solar, 0.0,
+                                        FleetOptions{BudgetPolicy::Static,
+                                                     mode, true})
+                             .run({RackSpec{"rack0", workload.get(),
+                                            scheme.get()}})));
+    }
+    EXPECT_EQ(h, 0xdd739f8284994b45ull) << "solar: 0x" << std::hex << h;
 }
 
 /** The cache-shared solar trace is the privately-generated trace. */
