@@ -668,6 +668,18 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             static_cast<double>(tick_i) * dt /
             ckpt.everySimSeconds);
 
+    // The emergency writer captures this frame by reference, so it is
+    // disarmed however run() leaves it — a rack's tick may throw
+    // through the pool.
+    struct DisarmOnExit
+    {
+        bool armed;
+        ~DisarmOnExit()
+        {
+            if (armed)
+                clearCheckpointOnFatal();
+        }
+    } disarm{ckpt.enabled()};
     if (ckpt.enabled()) {
         installCheckpointOnFatal([&]() {
             for (std::size_t r = 0; r < n; ++r)
@@ -823,9 +835,6 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
         result.macroSpanTicks += span;
         sampleHealth(static_cast<double>(tick_i - 1) * dt);
     }
-
-    if (ckpt.enabled())
-        clearCheckpointOnFatal();
 
     double eff_weighted = 0.0;
     double eff_unweighted = 0.0;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/schemes.h"
@@ -20,6 +21,7 @@
 #include "sim/fleet.h"
 #include "sim/simulator.h"
 #include "sim/plan_cache.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 #include "workload/workload_profiles.h"
 
@@ -420,6 +422,49 @@ TEST(Checkpoint, ResumeFromMismatchedConfigIsFatal)
     EXPECT_EXIT(runToJson(other, resume),
                 ::testing::ExitedWithCode(1),
                 "written under a different seed");
+}
+
+/** A scheme that fails its first control slot. */
+class ThrowingScheme final : public ManagementScheme
+{
+  public:
+    const std::string &
+    name() const override
+    {
+        return name_;
+    }
+
+    SlotPlan
+    planSlot(const SlotSensors &) override
+    {
+        throw std::runtime_error("planSlot failed");
+    }
+
+    void finishSlot(const SlotOutcome &) override {}
+
+  private:
+    std::string name_ = "throwing";
+};
+
+TEST(Checkpoint, ThrowingRunDisarmsEmergencyWriter)
+{
+    // The run's emergency writer captures its locals; once an
+    // exception unwinds them, a later exit must not call it.
+    SimConfig cfg = witnessConfig();
+    CheckpointOptions every;
+    every.everySimSeconds = cfg.durationSeconds / 3.0;
+    every.dir = freshDir("throwing");
+    auto workload = SharedPlanCache::global().workload("TS", cfg.seed);
+    ThrowingScheme scheme;
+    EXPECT_THROW(Simulator(cfg).run(*workload, scheme, every),
+                 std::runtime_error);
+
+    EXPECT_EXIT(fatal("fatal after a failed run"),
+                ::testing::ExitedWithCode(1), "after a failed run");
+    for (const fs::directory_entry &e : fs::directory_iterator(every.dir))
+        EXPECT_NE(e.path().filename().string().rfind("fleet-emergency", 0),
+                  0u)
+            << e.path();
 }
 
 TEST(Checkpoint, OptionsValidateRejectsBadKnobs)
