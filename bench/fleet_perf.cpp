@@ -88,8 +88,8 @@ buildScenario(bool quick)
     s.cfg.durationSeconds = (quick ? 6.0 : 24.0) * 3600.0;
     // One shared fault plan stresses the all-or-nothing span logic:
     // converter trips and sensor-jitter windows hit every rack at
-    // the same instants. ATS failures are grid-side events the fleet
-    // does not model.
+    // the same instants. ATS failures (outage windows on the shared
+    // feed) are left off.
     s.cfg.faultInjection = true;
     s.cfg.faultPlan.atsFailuresPerDay = 0.0;
 

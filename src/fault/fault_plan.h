@@ -39,8 +39,9 @@ enum class FaultKind
     ConverterTrip,
 
     /**
-     * ATS transfer failure: the break-before-make gap extends and no
-     * source is connected for the event duration.
+     * ATS transfer failure: the transfer switch sticks open and the
+     * facility feed supplies nothing for the event duration (the
+     * fleet adds it to the utility grid as an outage window).
      */
     AtsTransferFailure,
 

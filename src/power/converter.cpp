@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.h"
-#include "util/units.h"
 
 namespace heb {
 
@@ -46,23 +45,12 @@ Converter::efficiencyAt(double output_watts) const
 }
 
 void
-Converter::recordTransfer(double output_watts, double dt_seconds)
-{
-    if (output_watts <= 0.0)
-        return;
-    double in = inputFor(output_watts);
-    deliveredWh_ += energyWh(output_watts, dt_seconds);
-    lossWh_ += energyWh(in - output_watts, dt_seconds);
-}
-
-void
 Converter::trip(double now_seconds, double restart_delay_seconds)
 {
     if (restart_delay_seconds < 0.0)
         fatal("Converter::trip: negative restart delay");
     restoreTime_ =
         std::max(restoreTime_, now_seconds + restart_delay_seconds);
-    ++trips_;
 }
 
 Converter

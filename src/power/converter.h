@@ -34,15 +34,6 @@ struct ConverterParams
     double proportionalLoss = 0.03;
 };
 
-/** Complete mutable state of a Converter, for checkpointing. */
-struct ConverterState
-{
-    double lossWh = 0.0;
-    double deliveredWh = 0.0;
-    double restoreTime = 0.0;
-    unsigned long trips = 0;
-};
-
 /** One conversion stage (AC/DC, DC/AC, or DC/DC). */
 class Converter
 {
@@ -70,15 +61,6 @@ class Converter
     /** Efficiency when delivering @p output_watts. */
     double efficiencyAt(double output_watts) const;
 
-    /** Record a transfer for loss accounting. */
-    void recordTransfer(double output_watts, double dt_seconds);
-
-    /** Cumulative conversion losses (Wh). */
-    double lossWh() const { return lossWh_; }
-
-    /** Cumulative delivered energy (Wh). */
-    double deliveredWh() const { return deliveredWh_; }
-
     /**
      * Fault hook: trip the converter offline at @p now_seconds; it
      * restarts @p restart_delay_seconds later. Overlapping trips keep
@@ -98,23 +80,8 @@ class Converter
      */
     double restoreTime() const { return restoreTime_; }
 
-    /** Number of trip events recorded. */
-    unsigned long tripCount() const { return trips_; }
-
-    /** Snapshot the mutable state (loss/delivery/trip accounting). */
-    ConverterState state() const
-    {
-        return {lossWh_, deliveredWh_, restoreTime_, trips_};
-    }
-
-    /** Restore a state previously read with state(). */
-    void restoreState(const ConverterState &state)
-    {
-        lossWh_ = state.lossWh;
-        deliveredWh_ = state.deliveredWh;
-        restoreTime_ = state.restoreTime;
-        trips_ = state.trips;
-    }
+    /** Restore restoreTime() from a checkpoint. */
+    void setRestoreTime(double seconds) { restoreTime_ = seconds; }
 
     /**
      * The double-conversion (AC-DC-AC) path of a centralized online
@@ -130,10 +97,7 @@ class Converter
 
   private:
     ConverterParams params_;
-    double lossWh_ = 0.0;
-    double deliveredWh_ = 0.0;
     double restoreTime_ = 0.0;
-    unsigned long trips_ = 0;
 };
 
 } // namespace heb

@@ -27,13 +27,6 @@ class PowerSource
     virtual double availablePowerW(double time_seconds) const = 0;
 
     /**
-     * Record an actual draw of @p watts at @p time_seconds for
-     * @p dt_seconds (for tariff metering / utilization accounting).
-     */
-    virtual void recordDraw(double time_seconds, double watts,
-                            double dt_seconds) = 0;
-
-    /**
      * Event-horizon query for the fast-forward engine: the earliest
      * time T > @p time_seconds at which availablePowerW() may return
      * a different value. On [time_seconds, T) the supply must be

@@ -105,7 +105,7 @@ SolarArray::availablePowerW(double time_seconds) const
 }
 
 void
-SolarArray::recordDraw(double, double watts, double dt_seconds)
+SolarArray::recordHarvest(double watts, double dt_seconds)
 {
     harvestedWh_ += energyWh(watts, dt_seconds);
 }

@@ -90,13 +90,16 @@ class SolarArray : public PowerSource
 
     double availablePowerW(double time_seconds) const override;
 
-    void recordDraw(double time_seconds, double watts,
-                    double dt_seconds) override;
-
     double nextChangeTime(double time_seconds) const override;
 
     /** Total energy the array generates over the trace (Wh). */
     double totalGenerationWh() const;
+
+    /**
+     * Meter a draw of @p watts for @p dt_seconds as harvested energy
+     * (REU and spilled generation read the total).
+     */
+    void recordHarvest(double watts, double dt_seconds);
 
     /** Energy actually harvested by loads/buffers so far (Wh). */
     double harvestedWh() const { return harvestedWh_; }

@@ -123,12 +123,6 @@ Topology::bufferStageAvailable(double now_seconds) const
     return bufferStage().availableAt(now_seconds);
 }
 
-unsigned long
-Topology::bufferStageTrips() const
-{
-    return bufferStage().tripCount();
-}
-
 bool
 Topology::supportsFineGrainedShaving() const
 {

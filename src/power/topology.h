@@ -99,29 +99,14 @@ class Topology
         return bufferStage().restoreTime();
     }
 
-    /** Number of buffer-stage trips recorded. */
-    unsigned long bufferStageTrips() const;
-
-    /** Mutable state of all four conversion stages. */
-    struct State
+    /**
+     * Restore bufferStageRestoreTime() from a checkpoint — the
+     * topology's only mutable state, since only the buffer stage
+     * trips.
+     */
+    void setBufferStageRestoreTime(double seconds)
     {
-        ConverterState ups, inverter, rectifier, dcdc;
-    };
-
-    /** Snapshot every stage's accounting/trip state. */
-    State state() const
-    {
-        return {upsPath_.state(), inverter_.state(),
-                rectifier_.state(), dcdc_.state()};
-    }
-
-    /** Restore a state previously read with state(). */
-    void restoreState(const State &state)
-    {
-        upsPath_.restoreState(state.ups);
-        inverter_.restoreState(state.inverter);
-        rectifier_.restoreState(state.rectifier);
-        dcdc_.restoreState(state.dcdc);
+        bufferStage().setRestoreTime(seconds);
     }
 
   private:

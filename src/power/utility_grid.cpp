@@ -4,17 +4,13 @@
 #include <limits>
 
 #include "util/logging.h"
-#include "util/units.h"
 
 namespace heb {
 
-UtilityGrid::UtilityGrid(double budget_w, double billing_period_s)
-    : budget_(budget_w), billingPeriod_(billing_period_s)
+UtilityGrid::UtilityGrid(double budget_w) : budget_(budget_w)
 {
     if (budget_w < 0.0)
         fatal("UtilityGrid budget must be non-negative");
-    if (billing_period_s <= 0.0)
-        fatal("UtilityGrid billing period must be positive");
 }
 
 double
@@ -57,41 +53,6 @@ UtilityGrid::inOutage(double time_seconds) const
             return true;
     }
     return false;
-}
-
-void
-UtilityGrid::setBudgetW(double watts)
-{
-    if (watts < 0.0)
-        fatal("UtilityGrid budget must be non-negative");
-    budget_ = watts;
-}
-
-void
-UtilityGrid::recordDraw(double time_seconds, double watts,
-                        double dt_seconds)
-{
-    if (!sawDraw_) {
-        periodStart_ = time_seconds;
-        sawDraw_ = true;
-    }
-    while (time_seconds - periodStart_ >= billingPeriod_) {
-        peaks_.push_back(currentPeak_);
-        currentPeak_ = 0.0;
-        periodStart_ += billingPeriod_;
-    }
-    currentPeak_ = std::max(currentPeak_, watts);
-    energyWh_ += energyWh(watts, dt_seconds);
-}
-
-void
-UtilityGrid::closeBillingPeriod()
-{
-    if (!sawDraw_)
-        return;
-    peaks_.push_back(currentPeak_);
-    currentPeak_ = 0.0;
-    sawDraw_ = false;
 }
 
 } // namespace heb

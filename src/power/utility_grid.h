@@ -1,11 +1,15 @@
 /**
  * @file
- * Budgeted utility feed with peak-demand tariff metering.
+ * Budgeted utility feed with outage windows.
  *
  * Under-provisioned datacenters subscribe a power budget below the
  * nameplate peak (paper Fig. 1a). The grid model exposes the budget
- * as available power and meters the billing-period peak draw so the
- * TCO library can price peak-shaving (paper Fig. 15c, 12 $/kW).
+ * as available power, except inside scheduled outage windows, where
+ * it offers nothing. The fleet's facility feed also registers the
+ * fault plan's ATS transfer failures here: a stuck transfer switch
+ * cuts the supply exactly like an outage. The billed peak draw the
+ * TCO library prices (paper Fig. 15c, 12 $/kW) is the engine's
+ * SimResult::peakUtilityDrawW / FleetResult::facilityPeakDrawW.
  */
 
 #pragma once
@@ -21,79 +25,25 @@ namespace heb {
 class UtilityGrid : public PowerSource
 {
   public:
-    /**
-     * Construct with a constant power budget.
-     *
-     * @param budget_w            Subscribed power budget (W).
-     * @param billing_period_s    Peak-metering window (default one
-     *                            month of seconds).
-     */
-    explicit UtilityGrid(double budget_w,
-                         double billing_period_s = 30.0 * 24.0 * 3600.0);
+    /** Construct with a constant power budget (W). */
+    explicit UtilityGrid(double budget_w);
 
     const std::string &name() const override { return name_; }
 
     double availablePowerW(double time_seconds) const override;
 
-    void recordDraw(double time_seconds, double watts,
-                    double dt_seconds) override;
-
     double nextChangeTime(double time_seconds) const override;
 
-    /** Subscribed budget (W). */
-    double budgetW() const { return budget_; }
-
-    /** Change the subscribed budget (capacity planning sweeps). */
-    void setBudgetW(double watts);
-
-    /** Total energy drawn so far (Wh). */
-    double energyDrawnWh() const { return energyWh_; }
-
-    /** Highest draw metered in each completed billing period (W). */
-    const std::vector<double> &billedPeaksW() const { return peaks_; }
-
-    /** Peak draw within the current (incomplete) period (W). */
-    double currentPeriodPeakW() const { return currentPeak_; }
-
-    /** Close out the current billing period explicitly. */
-    void closeBillingPeriod();
-
     /**
-     * Schedule a utility outage: availablePowerW reports zero in
-     * [start, start + duration). Buffers must ride through (the
-     * classic UPS role the paper's architecture keeps serving).
+     * Schedule a supply cut: availablePowerW reports zero in
+     * [start, start + duration). Windows may be registered ahead of
+     * time and may overlap. Buffers must ride through (the classic
+     * UPS role the paper's architecture keeps serving).
      */
     void addOutage(double start_seconds, double duration_seconds);
 
     /** True when @p time_seconds falls inside a scheduled outage. */
     bool inOutage(double time_seconds) const;
-
-    /** Complete mutable metering state, for checkpointing. */
-    struct State
-    {
-        double energyWh = 0.0;
-        double currentPeak = 0.0;
-        double periodStart = 0.0;
-        bool sawDraw = false;
-        std::vector<double> peaks;
-    };
-
-    /** Snapshot the metering state (budget/outages are config). */
-    State state() const
-    {
-        return {energyWh_, currentPeak_, periodStart_, sawDraw_,
-                peaks_};
-    }
-
-    /** Restore a state previously read with state(). */
-    void restoreState(const State &state)
-    {
-        energyWh_ = state.energyWh;
-        currentPeak_ = state.currentPeak;
-        periodStart_ = state.periodStart;
-        sawDraw_ = state.sawDraw;
-        peaks_ = state.peaks;
-    }
 
   private:
     struct Outage
@@ -104,12 +54,6 @@ class UtilityGrid : public PowerSource
 
     std::string name_ = "utility";
     double budget_;
-    double billingPeriod_;
-    double energyWh_ = 0.0;
-    double currentPeak_ = 0.0;
-    double periodStart_ = 0.0;
-    bool sawDraw_ = false;
-    std::vector<double> peaks_;
     std::vector<Outage> outages_;
 };
 

@@ -551,26 +551,6 @@ loadLedger(const CheckpointReader &reader, const std::string &key)
     return ledger;
 }
 
-void
-saveConverter(std::vector<double> &out, const ConverterState &s)
-{
-    out.push_back(s.lossWh);
-    out.push_back(s.deliveredWh);
-    out.push_back(s.restoreTime);
-    out.push_back(static_cast<double>(s.trips));
-}
-
-ConverterState
-loadConverter(const std::vector<double> &data, std::size_t &pos)
-{
-    ConverterState s;
-    s.lossWh = data[pos++];
-    s.deliveredWh = data[pos++];
-    s.restoreTime = data[pos++];
-    s.trips = static_cast<unsigned long>(data[pos++]);
-    return s;
-}
-
 } // namespace
 
 void
@@ -628,16 +608,9 @@ RackDomain::checkpointSave(CheckpointWriter &writer,
              s.downtime, static_cast<double>(s.cycles)});
     }
 
-    // Topology (four conversion stages).
-    {
-        Topology::State s = topology_.state();
-        std::vector<double> v;
-        saveConverter(v, s.ups);
-        saveConverter(v, s.inverter);
-        saveConverter(v, s.rectifier);
-        saveConverter(v, s.dcdc);
-        writer.putDoubles(prefix + "topology", v);
-    }
+    // Topology: only the buffer stage trips.
+    writer.putDouble(prefix + "topology",
+                     topology_.bufferStageRestoreTime());
 
     // Relays.
     writer.putU64(prefix + "switches", switches_.size());
@@ -784,20 +757,8 @@ RackDomain::checkpointLoad(const CheckpointReader &reader,
         cluster_.server(i).restoreState(s);
     }
 
-    {
-        std::vector<double> v =
-            reader.getDoubles(prefix + "topology");
-        if (v.size() != 16)
-            fatal("checkpoint: topology state has ", v.size(),
-                  " values, want 16");
-        std::size_t pos = 0;
-        Topology::State s;
-        s.ups = loadConverter(v, pos);
-        s.inverter = loadConverter(v, pos);
-        s.rectifier = loadConverter(v, pos);
-        s.dcdc = loadConverter(v, pos);
-        topology_.restoreState(s);
-    }
+    topology_.setBufferStageRestoreTime(
+        reader.getDouble(prefix + "topology"));
 
     if (reader.getU64(prefix + "switches") != switches_.size())
         fatal("checkpoint: relay count does not match this "

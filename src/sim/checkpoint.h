@@ -6,10 +6,11 @@
  * FleetSimulator run (a Simulator run is a one-rack fleet) at a tick
  * boundary — bank lane state, ledger, controller slot plan,
  * predictor history, PAT entries, degradation counters, fault-
- * injector cursor and RNG stream positions, feed metering,
- * accumulated series — so a killed run can resume and
- * produce a final SimResult/FleetResult byte-identical at %.17g to an
- * uninterrupted one (DESIGN.md §14).
+ * injector cursor and RNG stream positions, a solar feed's harvest
+ * meter, the buffer converter's restart time, accumulated series —
+ * so a killed run can resume and produce a final
+ * SimResult/FleetResult byte-identical at %.17g to an uninterrupted
+ * one (DESIGN.md §14).
  *
  * File format: one header line
  *
@@ -36,10 +37,12 @@ namespace heb {
 
 /**
  * Current checkpoint format version. v2: single-rack runs write the
- * fleet format, whose manifest now carries the feed's supply kind
- * and metering state; v1 files are skipped as version skew.
+ * fleet format, whose manifest carries the feed's supply kind. v3:
+ * the manifest drops the utility feed's billing meters and a rack's
+ * "topology" key is the buffer stage's restart time alone. Older
+ * files are skipped as version skew.
  */
-constexpr std::uint32_t kCheckpointFormatVersion = 2;
+constexpr std::uint32_t kCheckpointFormatVersion = 3;
 
 /** File-name suffix of regular checkpoint files. */
 extern const char *const kCheckpointSuffix;

@@ -8,7 +8,6 @@
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "power/ats.h"
 #include "power/solar_array.h"
 #include "power/utility_grid.h"
 #include "sim/fleet_health.h"
@@ -21,43 +20,12 @@ namespace heb {
 namespace {
 
 /**
- * Draw sink handed to fastForwardCommit: buffers one rack's per-tick
- * upstream draws for the span so the fleet can re-sum them per tick
- * *in rack order* afterwards — the same addition order as the dense
- * loop's facility_draw accumulation, keeping the facility peak
- * byte-identical between engines.
- */
-class SpanDrawRecorder final : public PowerSource
-{
-  public:
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "span-recorder";
-        return n;
-    }
-
-    double
-    availablePowerW(double) const override
-    {
-        return 0.0;
-    }
-
-    void
-    recordDraw(double, double watts, double) override
-    {
-        draws.push_back(watts);
-    }
-
-    std::vector<double> draws;
-};
-
-/**
  * The facility's upstream supply, built once per run from the rack
- * config: the utility grid at the facility budget with the config's
- * outages — behind an ATS that holds the fault plan's transfer-
- * failure windows open when faults are injected — or a solar array
- * over the shared trace. The grid or array meters the facility draw.
+ * config: the utility grid at the facility budget, whose outage
+ * windows are the config's outages plus, when faults are injected,
+ * the fault plan's ATS transfer failures (a stuck switch cuts the
+ * supply exactly like an outage) — or a solar array over the shared
+ * trace, which also meters the harvested energy for REU.
  */
 class FacilityFeed
 {
@@ -69,79 +37,62 @@ class FacilityFeed
             // The trace is pure in (params, duration, dt, seed), so
             // same-config runs sample it once and share it; harvest
             // accounting stays per instance.
-            solar_ = std::make_unique<SolarArray>(
+            auto solar = std::make_unique<SolarArray>(
                 config.solarParams,
                 SharedPlanCache::global().solarTrace(
                     config.solarParams, config.durationSeconds,
                     config.tickSeconds, config.seed));
-            meter_ = solar_.get();
+            solar_ = solar.get();
+            source_ = std::move(solar);
             return;
         }
-        grid_ = std::make_unique<UtilityGrid>(budget_w);
+        auto grid = std::make_unique<UtilityGrid>(budget_w);
         for (auto [start, duration] : config.outages)
-            grid_->addOutage(start, duration);
-        meter_ = grid_.get();
+            grid->addOutage(start, duration);
         if (plan) {
-            ats_ = std::make_unique<Ats>(grid_.get(), nullptr);
             for (const fault::FaultEvent &ev :
                  plan->ofKind(fault::FaultKind::AtsTransferFailure))
-                ats_->forceOpen(ev.startSeconds, ev.durationSeconds);
+                grid->addOutage(ev.startSeconds, ev.durationSeconds);
         }
+        source_ = std::move(grid);
     }
 
     double
     availablePowerW(double now) const
     {
-        return ats_ ? ats_->availablePowerW(now)
-                    : meter_->availablePowerW(now);
+        return source_->availablePowerW(now);
     }
 
     double
     nextChangeTime(double now) const
     {
-        return ats_ ? ats_->nextChangeTime(now)
-                    : meter_->nextChangeTime(now);
+        return source_->nextChangeTime(now);
     }
 
+    /** Meter one tick's facility draw; only a solar feed keeps it. */
     void
-    recordDraw(double now, double watts, double dt)
+    recordDraw(double watts, double dt)
     {
-        meter_->recordDraw(now, watts, dt);
+        if (solar_)
+            solar_->recordHarvest(watts, dt);
     }
 
-    /** Write the metering state under "sink.". */
+    /** Write the harvest meter under "sink." (solar feeds only). */
     void
     save(CheckpointWriter &w) const
     {
-        if (solar_) {
+        if (solar_)
             w.putDouble("sink.solar_harvested_wh",
                         solar_->harvestedWh());
-            return;
-        }
-        UtilityGrid::State s = grid_->state();
-        w.putDouble("sink.grid.energy_wh", s.energyWh);
-        w.putDouble("sink.grid.current_peak", s.currentPeak);
-        w.putDouble("sink.grid.period_start", s.periodStart);
-        w.putBool("sink.grid.saw_draw", s.sawDraw);
-        w.putDoubles("sink.grid.peaks", s.peaks);
     }
 
     /** Restore what save() wrote. */
     void
     load(const CheckpointReader &r)
     {
-        if (solar_) {
+        if (solar_)
             solar_->restoreHarvestedWh(
                 r.getDouble("sink.solar_harvested_wh"));
-            return;
-        }
-        UtilityGrid::State s;
-        s.energyWh = r.getDouble("sink.grid.energy_wh");
-        s.currentPeak = r.getDouble("sink.grid.current_peak");
-        s.periodStart = r.getDouble("sink.grid.period_start");
-        s.sawDraw = r.getBool("sink.grid.saw_draw");
-        s.peaks = r.getDoubles("sink.grid.peaks");
-        grid_->restoreState(s);
     }
 
     /**
@@ -166,10 +117,8 @@ class FacilityFeed
     }
 
   private:
-    std::unique_ptr<UtilityGrid> grid_;
-    std::unique_ptr<SolarArray> solar_;
-    std::unique_ptr<Ats> ats_;
-    PowerSource *meter_ = nullptr;
+    std::unique_ptr<PowerSource> source_;
+    SolarArray *solar_ = nullptr; //!< source_, when solar-fed
 };
 
 /**
@@ -384,7 +333,7 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
                   "give each rack its own");
     }
 
-    // One fault plan for the feed's ATS windows and every rack:
+    // One fault plan for the feed's ATS outage windows and every rack:
     // generation is pure in (params, duration, seed), so per-domain
     // regeneration produced n identical copies of the same schedule.
     fault::FaultPlan plan;
@@ -441,7 +390,7 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
     std::vector<RackDomain::TickOutcome> outs(n);
     std::vector<int> probe_ok(n, 0);
     std::vector<int> banks_idle(n, 0);
-    std::vector<SpanDrawRecorder> recorders(n);
+    std::vector<std::vector<double>> span_draws(n);
     FfDeclineCounters declines(racks);
 
     // Live health sampling reads domain state between the parallel
@@ -713,7 +662,7 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
         double facility_draw = 0.0;
         for (std::size_t r = 0; r < n; ++r)
             facility_draw += outs[r].sourceDrawW;
-        feed.recordDraw(now, facility_draw, dt);
+        feed.recordDraw(facility_draw, dt);
         result.facilityPeakDrawW =
             std::max(result.facilityPeakDrawW, facility_draw);
 
@@ -806,14 +755,12 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             continue;
         }
 
-        for (std::size_t r = 0; r < n; ++r) {
-            recorders[r].draws.clear();
-            recorders[r].draws.reserve(span);
-        }
+        for (std::size_t r = 0; r < n; ++r)
+            span_draws[r].resize(span);
         // Commits report whether their banks sat idle for the span.
         pool.forEachIndex(n, [&](std::size_t r) {
             banks_idle[r] = domains[r]->fastForwardCommit(
-                span, alloc_ff[r], recorders[r]);
+                span, alloc_ff[r], span_draws[r]);
         });
         if (std::count(banks_idle.begin(), banks_idle.end(), 0) == 0)
             ++result.shardKernelSpans;
@@ -823,9 +770,8 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
         for (std::size_t j = 0; j < span; ++j) {
             double fd = 0.0;
             for (std::size_t r = 0; r < n; ++r)
-                fd += recorders[r].draws[j];
-            feed.recordDraw(static_cast<double>(tick_i + j) * dt, fd,
-                            dt);
+                fd += span_draws[r][j];
+            feed.recordDraw(fd, dt);
             result.facilityPeakDrawW =
                 std::max(result.facilityPeakDrawW, fd);
         }

@@ -5,10 +5,11 @@
  * Each rack is an independent HEB power domain — its own servers,
  * hybrid banks, relays and hControl — while the facility feed is
  * shared. The feed is the rack config's supply: the utility budget
- * with its outages (behind an ATS carrying the fault plan's
- * transfer failures when faults are injected), or, for a one-rack
- * fleet, a solar array. A one-rack Static fleet is the single-rack
- * Simulator. Two budget-arbitration policies are provided:
+ * with its outages (plus the fault plan's ATS transfer failures as
+ * further outage windows when faults are injected), or, for a
+ * one-rack fleet, a solar array. A one-rack Static fleet is the
+ * single-rack Simulator. Two budget-arbitration policies are
+ * provided:
  *
  *  - Static: every rack gets total/N, period. Simple, but a busy
  *    rack browns out while its neighbour idles.

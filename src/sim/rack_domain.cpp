@@ -163,9 +163,9 @@ RackDomain::applyFaultEvent(const fault::FaultEvent &event,
       case FaultKind::AtsTransferFailure:
       case FaultKind::SensorDropout:
       case FaultKind::SensorJitter:
-        // ATS gaps act on the upstream supply (the fleet's facility
-        // feed owns the switch); sensor faults act through
-        // filterTelemetry().
+        // ATS gaps cut the upstream supply (the fleet's facility
+        // feed holds them as grid outage windows); sensor faults act
+        // through filterTelemetry().
         // Logged here so the fault log is complete in one place.
         break;
     }
@@ -591,7 +591,7 @@ RackDomain::fastForwardCheck(std::size_t n_ticks, double supply_w)
 
 bool
 RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
-                              PowerSource &draw_sink)
+                              std::span<double> draws)
 {
     HEB_PROF_SCOPE("sim.fast_forward");
     obs::ScopedTraceTrack track(traceTrack_);
@@ -639,8 +639,6 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
         scBank_->advanceQuiescent(n, dt);
         baBank_->advanceQuiescent(n, dt);
         for (std::size_t j = 0; j < n; ++j) {
-            double now =
-                static_cast<double>(tickIndex_ + j) * dt;
             ledger_.sourceToLoadWh += demand * dt_h;
             double source_draw = demand;
             peakDrawW_ = std::max(peakDrawW_, source_draw);
@@ -655,13 +653,11 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
                 metrics->demandW.record(demand);
                 metrics->sourceDrawW.record(source_draw);
             }
-            draw_sink.recordDraw(now, source_draw, dt);
+            draws[j] = source_draw;
             interval_source_wh += source_draw * dt_h;
         }
     } else {
         for (std::size_t j = 0; j < n; ++j) {
-            double now =
-                static_cast<double>(tickIndex_ + j) * dt;
             ledger_.sourceToLoadWh += demand * dt_h;
             double source_draw = demand;
 
@@ -697,7 +693,7 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
                 metrics->demandW.record(demand);
                 metrics->sourceDrawW.record(source_draw);
             }
-            draw_sink.recordDraw(now, source_draw, dt);
+            draws[j] = source_draw;
             interval_source_wh += source_draw * dt_h;
             interval_sc_wh += charged.scPowerW * dt_h;
             interval_ba_wh += charged.baPowerW * dt_h;

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "dc/cluster.h"
 #include "esd/esd_pool.h"
 #include "fault/fault_injector.h"
-#include "power/power_source.h"
 #include "power/power_switch.h"
 #include "power/topology.h"
 #include "sim/sim_config.h"
@@ -64,8 +64,8 @@ class RackDomain
      *                     regenerates. Generation is pure, so both
      *                     paths yield the same schedule — sharing
      *                     just avoids redundant work when the caller
-     *                     already built the plan (e.g. for ATS
-     *                     forced-open wiring).
+     *                     already built the plan (e.g. for the
+     *                     feed's ATS outage windows).
      */
     RackDomain(const SimConfig &config, const Workload &workload,
                ManagementScheme &scheme, std::string name,
@@ -113,21 +113,25 @@ class RackDomain
      *
      * The result is bit-identical to dense ticking by construction:
      * every floating-point operation that reaches SimResult (ledger
-     * adds, series appends, ESD dispatch, peak tracking, upstream
-     * draw metering on @p draw_sink) is performed per tick with the
-     * same operands and order as tick(); only per-tick work whose
+     * adds, series appends, ESD dispatch, peak tracking) is
+     * performed per tick with the same operands and order as tick(),
+     * and @p draws[j] receives tick j's upstream draw — the value
+     * tick() returns as sourceDrawW — so the caller can re-sum the
+     * facility draw per tick; only per-tick work whose
      * final state one call replicates (demand evaluation, controller
      * peak/valley, relay commands, LRU touch) is hoisted out of the
      * loop. Known divergence, by design: the trace gets one
      * summarized Quiescent record instead of stride-sampled Tick
      * records.
      *
+     * @param draws  Caller-owned buffer of exactly @p n_ticks
+     *               entries.
      * @return Whether the banks stayed idle for the whole span (the
      *         converter is tripped, or the frozen charge target is
      *         non-positive so every tick rests them).
      */
     bool fastForwardCommit(std::size_t n_ticks, double supply_w,
-                           PowerSource &draw_sink);
+                           std::span<double> draws);
 
     /** Fill @p result with this domain's final metrics. */
     void finalize(SimResult &result) const;

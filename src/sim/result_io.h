@@ -35,7 +35,8 @@ void writeResultMetrics(const std::vector<SimResult> &results,
  *   servers, tick_seconds, slot_seconds, duration_hours, budget_w,
  *   solar, solar_rated_w, seed, sc_wh, ba_wh, sc_dod, ba_dod,
  *   battery_aging, dvfs_capping, sensor_noise_sigma,
- *   fault_injection, fault_seed, degradation_policy, fast_forward
+ *   fault_injection, fault_seed, degradation_policy, fast_forward,
+ *   record_series
  */
 SimConfig simConfigFromConfig(const Config &config);
 

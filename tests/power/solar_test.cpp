@@ -77,7 +77,7 @@ TEST(Solar, ClearSkyEnergyMatchesHalfSine)
 TEST(Solar, HarvestAccounting)
 {
     SolarArray s = daySolar();
-    s.recordDraw(43200.0, 100.0, 3600.0);
+    s.recordHarvest(100.0, 3600.0);
     EXPECT_NEAR(s.harvestedWh(), 100.0, 1e-9);
 }
 

@@ -60,7 +60,6 @@ TEST(Topology, BufferStageTripGatesAvailability)
     t.tripBufferStage(50.0, 120.0);
     EXPECT_FALSE(t.bufferStageAvailable(100.0));
     EXPECT_TRUE(t.bufferStageAvailable(170.0));
-    EXPECT_EQ(t.bufferStageTrips(), 1u);
 }
 
 TEST(Topology, BufferStageTripPerKind)
