@@ -19,6 +19,16 @@ TEST(UtilityGrid, ConstantBudget)
     EXPECT_EQ(g.nextChangeTime(0.0), kInf);
 }
 
+TEST(UtilityGrid, StartsOnFullBudget)
+{
+    // The feed starts connected: at t = 0 the whole budget is there,
+    // even with a fault window already registered for later.
+    UtilityGrid g(260.0);
+    g.addOutage(43200.0, 0.05);
+    EXPECT_DOUBLE_EQ(g.availablePowerW(0.0), 260.0);
+    EXPECT_EQ(g.nextChangeTime(0.0), 43200.0);
+}
+
 TEST(UtilityGrid, InvalidConstruction)
 {
     EXPECT_EXIT(UtilityGrid(-5.0), testing::ExitedWithCode(1),
