@@ -6,33 +6,6 @@
 
 namespace heb {
 
-namespace {
-
-/** Pop one value of a flat checkpoint vector; fatal() on underrun. */
-double
-takeValue(const std::vector<double> &data, std::size_t &pos,
-          const char *what)
-{
-    if (pos >= data.size())
-        fatal("predictor restore: truncated state while reading ",
-              what);
-    return data[pos++];
-}
-
-/** Pop a non-negative integral count encoded as a double. */
-std::size_t
-takeCount(const std::vector<double> &data, std::size_t &pos,
-          const char *what)
-{
-    double v = takeValue(data, pos, what);
-    if (v < 0.0 || v != static_cast<double>(
-                            static_cast<std::size_t>(v)))
-        fatal("predictor restore: bad count for ", what, ": ", v);
-    return static_cast<std::size_t>(v);
-}
-
-} // namespace
-
 LastValuePredictor::LastValuePredictor() = default;
 
 void
@@ -42,16 +15,9 @@ LastValuePredictor::observe(double value)
 }
 
 void
-LastValuePredictor::checkpointSave(std::vector<double> &out) const
+LastValuePredictor::checkpoint(StateCursor &cursor)
 {
-    out.push_back(last_);
-}
-
-void
-LastValuePredictor::checkpointRestore(
-    const std::vector<double> &data, std::size_t &pos)
-{
-    last_ = takeValue(data, pos, "last-value");
+    cursor.value(last_, "last-value");
 }
 
 HoltWintersPredictor::HoltWintersPredictor(HoltWintersParams params)
@@ -157,41 +123,17 @@ HoltWintersPredictor::predict() const
 }
 
 void
-HoltWintersPredictor::checkpointSave(std::vector<double> &out) const
+HoltWintersPredictor::checkpoint(StateCursor &cursor)
 {
-    out.push_back(level_);
-    out.push_back(trend_);
-    out.push_back(static_cast<double>(slot_));
-    out.push_back(primed_ ? 1.0 : 0.0);
-    out.push_back(static_cast<double>(seasonal_.size()));
-    out.insert(out.end(), seasonal_.begin(), seasonal_.end());
-    out.push_back(static_cast<double>(warmup_.size()));
-    out.insert(out.end(), warmup_.begin(), warmup_.end());
-}
-
-void
-HoltWintersPredictor::checkpointRestore(
-    const std::vector<double> &data, std::size_t &pos)
-{
-    level_ = takeValue(data, pos, "holt-winters level");
-    trend_ = takeValue(data, pos, "holt-winters trend");
-    slot_ = takeCount(data, pos, "holt-winters slot");
-    primed_ = takeValue(data, pos, "holt-winters primed") != 0.0;
-    std::size_t n_seasonal =
-        takeCount(data, pos, "holt-winters seasonal size");
-    if (n_seasonal != params_.seasonLength)
-        fatal("predictor restore: seasonal length ", n_seasonal,
+    cursor.value(level_, "holt-winters level");
+    cursor.value(trend_, "holt-winters trend");
+    cursor.count(slot_, "holt-winters slot");
+    cursor.flag(primed_, "holt-winters primed");
+    cursor.values(seasonal_, "holt-winters seasonal");
+    if (seasonal_.size() != params_.seasonLength)
+        fatal("predictor restore: seasonal length ", seasonal_.size(),
               " does not match configured ", params_.seasonLength);
-    seasonal_.clear();
-    for (std::size_t i = 0; i < n_seasonal; ++i)
-        seasonal_.push_back(
-            takeValue(data, pos, "holt-winters seasonal"));
-    std::size_t n_warmup =
-        takeCount(data, pos, "holt-winters warmup size");
-    warmup_.clear();
-    for (std::size_t i = 0; i < n_warmup; ++i)
-        warmup_.push_back(
-            takeValue(data, pos, "holt-winters warmup"));
+    cursor.values(warmup_, "holt-winters warmup");
 }
 
 MismatchPredictor::MismatchPredictor(
@@ -244,18 +186,10 @@ MismatchPredictor::predictedMismatchW() const
 }
 
 void
-MismatchPredictor::checkpointSave(std::vector<double> &out) const
+MismatchPredictor::checkpoint(StateCursor &cursor)
 {
-    peak_->checkpointSave(out);
-    valley_->checkpointSave(out);
-}
-
-void
-MismatchPredictor::checkpointRestore(
-    const std::vector<double> &data, std::size_t &pos)
-{
-    peak_->checkpointRestore(data, pos);
-    valley_->checkpointRestore(data, pos);
+    peak_->checkpoint(cursor);
+    valley_->checkpoint(cursor);
 }
 
 } // namespace heb

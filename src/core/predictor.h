@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "util/state_cursor.h"
+
 namespace heb {
 
 /** One-series forecaster: observe a value per slot, predict the next. */
@@ -36,15 +38,11 @@ class SeriesPredictor
     /** Drop all state. */
     virtual void reset() = 0;
 
-    /** Append the predictor's mutable state to @p out. */
-    virtual void checkpointSave(std::vector<double> &out) const = 0;
-
     /**
-     * Consume this predictor's state from @p data starting at
-     * @p pos, advancing @p pos past it. fatal() on underrun.
+     * Describe the predictor's mutable state to @p cursor, which
+     * saves it or loads it back in place.
      */
-    virtual void checkpointRestore(const std::vector<double> &data,
-                                   std::size_t &pos) = 0;
+    virtual void checkpoint(StateCursor &cursor) = 0;
 };
 
 /** Repeats the last observation (HEB-F's naive scheme). */
@@ -57,9 +55,7 @@ class LastValuePredictor : public SeriesPredictor
     void observe(double value) override;
     double predict() const override { return last_; }
     void reset() override { last_ = 0.0; }
-    void checkpointSave(std::vector<double> &out) const override;
-    void checkpointRestore(const std::vector<double> &data,
-                           std::size_t &pos) override;
+    void checkpoint(StateCursor &cursor) override;
 
   private:
     std::string name_ = "last-value";
@@ -103,9 +99,7 @@ class HoltWintersPredictor : public SeriesPredictor
     void observe(double value) override;
     double predict() const override;
     void reset() override;
-    void checkpointSave(std::vector<double> &out) const override;
-    void checkpointRestore(const std::vector<double> &data,
-                           std::size_t &pos) override;
+    void checkpoint(StateCursor &cursor) override;
 
     /** Smoothed level. */
     double level() const { return level_; }
@@ -156,12 +150,8 @@ class MismatchPredictor
     /** Predicted mismatch ΔPM = peak - valley, floored at 0 (W). */
     double predictedMismatchW() const;
 
-    /** Append both underlying predictors' state to @p out. */
-    void checkpointSave(std::vector<double> &out) const;
-
-    /** Consume both predictors' state from @p data at @p pos. */
-    void checkpointRestore(const std::vector<double> &data,
-                           std::size_t &pos);
+    /** Describe both underlying predictors' state to @p cursor. */
+    void checkpoint(StateCursor &cursor);
 
   private:
     std::unique_ptr<SeriesPredictor> peak_;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "util/state_cursor.h"
 #include "workload/workload.h"
 
 namespace heb {
@@ -112,25 +113,16 @@ class ManagementScheme
     virtual bool usesHybridBuffers() const { return true; }
 
     /**
-     * Append the scheme's mutable learning state (PAT entries,
-     * predictor history, last plan) to @p out as a flat double
-     * vector; counters ride along exactly since they stay far below
-     * 2^53. Stateless schemes append nothing.
+     * Describe the scheme's mutable learning state (last plan,
+     * predictor history, PAT entries) to @p cursor, which saves it
+     * or loads it back into an identically-configured scheme.
+     * Stateless schemes describe nothing.
      */
-    virtual void checkpointSave(std::vector<double> &out) const
-    {
-        (void)out;
-    }
-
-    /**
-     * Restore state previously written by checkpointSave on an
-     * identically-configured scheme. fatal() on a malformed vector.
-     */
-    virtual void checkpointRestore(const std::vector<double> &data)
-    {
-        (void)data;
-    }
+    virtual void checkpoint(StateCursor &cursor) { (void)cursor; }
 };
+
+/** Describe @p plan's fields to @p cursor, in either direction. */
+void checkpointSlotPlan(StateCursor &cursor, SlotPlan &plan);
 
 /** Scheme selector mirroring Table 2. */
 enum class SchemeKind { BaOnly, BaFirst, ScFirst, HebF, HebS, HebD };

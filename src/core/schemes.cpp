@@ -219,71 +219,34 @@ HebScheme::finishSlot(const SlotOutcome &outcome)
 }
 
 void
-HebScheme::checkpointSave(std::vector<double> &out) const
+checkpointSlotPlan(StateCursor &cursor, SlotPlan &plan)
 {
-    out.push_back(havePlan_ ? 1.0 : 0.0);
-    out.push_back(lastPlan_.rLambda);
-    out.push_back(lastPlan_.chargeScFirst ? 1.0 : 0.0);
-    out.push_back(lastPlan_.predictedMismatchW);
-    out.push_back(lastPlan_.batteryBasePlanW);
-    out.push_back(
-        lastPlan_.predictedClass == PeakClass::Large ? 1.0 : 0.0);
-    out.push_back(lastPlan_.shedFraction);
-    predictor_.checkpointSave(out);
-    const std::vector<PatEntry> &entries = pat_.entries();
-    out.push_back(static_cast<double>(entries.size()));
-    for (const PatEntry &e : entries) {
-        out.push_back(e.scWh);
-        out.push_back(e.baWh);
-        out.push_back(e.mismatchW);
-        out.push_back(e.rLambda);
-        // updates stays far below 2^53, so the double is exact.
-        out.push_back(static_cast<double>(e.updates));
-    }
+    cursor.value(plan.rLambda, "rLambda");
+    cursor.flag(plan.chargeScFirst, "chargeScFirst");
+    cursor.value(plan.predictedMismatchW, "predictedMismatchW");
+    cursor.value(plan.batteryBasePlanW, "batteryBasePlanW");
+    bool large = plan.predictedClass == PeakClass::Large;
+    cursor.flag(large, "predictedClass");
+    plan.predictedClass = large ? PeakClass::Large : PeakClass::Small;
+    cursor.value(plan.shedFraction, "shedFraction");
 }
 
 void
-HebScheme::checkpointRestore(const std::vector<double> &data)
+HebScheme::checkpoint(StateCursor &cursor)
 {
-    std::size_t pos = 0;
-    auto take = [&](const char *what) {
-        if (pos >= data.size())
-            fatal("scheme restore: truncated state while reading ",
-                  what);
-        return data[pos++];
-    };
-    havePlan_ = take("havePlan") != 0.0;
-    lastPlan_.rLambda = take("rLambda");
-    lastPlan_.chargeScFirst = take("chargeScFirst") != 0.0;
-    lastPlan_.predictedMismatchW = take("predictedMismatchW");
-    lastPlan_.batteryBasePlanW = take("batteryBasePlanW");
-    lastPlan_.predictedClass = take("predictedClass") != 0.0
-                                   ? PeakClass::Large
-                                   : PeakClass::Small;
-    lastPlan_.shedFraction = take("shedFraction");
-    predictor_.checkpointRestore(data, pos);
-    double raw_count = take("pat entry count");
-    if (raw_count < 0.0 ||
-        raw_count != static_cast<double>(
-                         static_cast<std::size_t>(raw_count)))
-        fatal("scheme restore: bad PAT entry count ", raw_count);
-    auto count = static_cast<std::size_t>(raw_count);
-    std::vector<PatEntry> entries;
-    entries.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        PatEntry e;
-        e.scWh = take("pat scWh");
-        e.baWh = take("pat baWh");
-        e.mismatchW = take("pat mismatchW");
-        e.rLambda = take("pat rLambda");
-        e.updates =
-            static_cast<unsigned long>(take("pat updates"));
-        entries.push_back(e);
-    }
-    pat_.restoreEntries(std::move(entries));
-    if (pos != data.size())
-        fatal("scheme restore: ", data.size() - pos,
-              " trailing values in scheme state");
+    cursor.flag(havePlan_, "havePlan");
+    checkpointSlotPlan(cursor, lastPlan_);
+    predictor_.checkpoint(cursor);
+    std::vector<PatEntry> entries = pat_.entries();
+    cursor.list(entries, "pat entry count", [&](PatEntry &e) {
+        cursor.value(e.scWh, "pat scWh");
+        cursor.value(e.baWh, "pat baWh");
+        cursor.value(e.mismatchW, "pat mismatchW");
+        cursor.value(e.rLambda, "pat rLambda");
+        cursor.count(e.updates, "pat updates");
+    });
+    if (cursor.loading())
+        pat_.restoreEntries(std::move(entries));
 }
 
 std::unique_ptr<ManagementScheme>

@@ -100,8 +100,7 @@ class HebScheme : public ManagementScheme
     const std::string &name() const override { return name_; }
     SlotPlan planSlot(const SlotSensors &sensors) override;
     void finishSlot(const SlotOutcome &outcome) override;
-    void checkpointSave(std::vector<double> &out) const override;
-    void checkpointRestore(const std::vector<double> &data) override;
+    void checkpoint(StateCursor &cursor) override;
 
     /** The live allocation table (inspection / persistence). */
     const PowerAllocationTable &pat() const { return pat_; }

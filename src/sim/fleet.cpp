@@ -77,22 +77,19 @@ class FacilityFeed
             solar_->recordHarvest(watts, dt);
     }
 
-    /** Write the harvest meter under "sink." (solar feeds only). */
-    void
-    save(CheckpointWriter &w) const
+    /** Harvested energy so far (Wh); 0 on a utility feed. */
+    double
+    harvestedWh() const
     {
-        if (solar_)
-            w.putDouble("sink.solar_harvested_wh",
-                        solar_->harvestedWh());
+        return solar_ ? solar_->harvestedWh() : 0.0;
     }
 
-    /** Restore what save() wrote. */
+    /** Restore the harvest meter (a no-op on a utility feed). */
     void
-    load(const CheckpointReader &r)
+    restoreHarvestedWh(double wh)
     {
         if (solar_)
-            solar_->restoreHarvestedWh(
-                r.getDouble("sink.solar_harvested_wh"));
+            solar_->restoreHarvestedWh(wh);
     }
 
     /**
@@ -424,52 +421,78 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
     // floating-point operations in the same order. Shards are
     // written first and the manifest last, both atomically, so a
     // readable manifest implies its complete shard set is durable.
+    //
+    // One field list per file, for both directions. The manifest's
+    // meta.* keys must match this run; its fleet.* and sink.* keys
+    // are the loop's own progress, which a resume reads into a copy
+    // and adopts only once every rack file has parsed.
+    struct Progress
+    {
+        std::uint64_t tick = 0;
+        FleetResult counters;
+        double nextHealth = 0.0;
+        double harvestedWh = 0.0;
+    };
+    auto manifest_fields = [&](CheckpointFields &io, Progress &p) {
+        io.same("meta.duration_s", config_.durationSeconds, "duration");
+        io.same("meta.tick_s", config_.tickSeconds, "tick length");
+        io.same("meta.slot_s", config_.slotSeconds, "slot length");
+        io.same("meta.seed", config_.seed, "seed");
+        io.same("meta.fault_seed", config_.faultSeed, "fault seed");
+        io.same("meta.servers", config_.numServers, "server count");
+        io.same("meta.facility_budget_w", facilityBudgetW_,
+                "facility budget");
+        io.same("meta.policy",
+                std::string(budgetPolicyName(options_.policy)),
+                "budget policy");
+        io.same("meta.mode", std::string(fleetModeName(options_.mode)),
+                "fleet mode");
+        io.same("meta.faults", config_.faultInjection,
+                "fault-injection setting");
+        io.same("meta.solar", config_.solarPowered, "supply kind");
+        io.same("meta.racks", n, "rack count");
+        for (std::size_t r = 0; r < n; ++r) {
+            std::string k = "meta.rack." + std::to_string(r);
+            io.same(k + ".name", racks[r].name, "rack roster");
+            io.same(k + ".scheme", racks[r].scheme->name(),
+                    "rack scheme");
+            io.same(k + ".workload", racks[r].workload->name(),
+                    "rack workload");
+        }
+        FleetResult &c = p.counters;
+        io.field("fleet.tick", p.tick);
+        io.field("fleet.peak_draw_w", c.facilityPeakDrawW);
+        io.field("fleet.dense_ticks", c.denseTicks);
+        io.field("fleet.macro_spans", c.macroSpans);
+        io.field("fleet.macro_span_ticks", c.macroSpanTicks);
+        io.field("fleet.shard_kernel_spans", c.shardKernelSpans);
+        io.field("fleet.ff_not_calm_ticks", c.ffNotCalmTicks);
+        io.field("fleet.ff_horizon_declines", c.ffHorizonDeclines);
+        io.field("fleet.ff_probe_declines", c.ffProbeDeclines);
+        for (std::size_t b = 0; b < kFfDeclineHistBins; ++b)
+            io.field("fleet.ff_hist." + std::to_string(b),
+                     c.ffDeclinedSpanHist[b]);
+        io.field("fleet.next_health", p.nextHealth);
+        if (config_.solarPowered)
+            io.field("sink.solar_harvested_wh", p.harvestedWh);
+    };
+    auto rack_fields = [&](CheckpointFields &io, std::size_t r) {
+        io.same("shard.rack", racks[r].name, "rack");
+        domains[r]->checkpoint(io, "rack.");
+    };
+
     auto manifest_payload = [&](std::uint64_t at_tick) {
         CheckpointWriter w;
-        w.putDouble("meta.duration_s", config_.durationSeconds);
-        w.putDouble("meta.tick_s", config_.tickSeconds);
-        w.putDouble("meta.slot_s", config_.slotSeconds);
-        w.putU64("meta.seed", config_.seed);
-        w.putU64("meta.fault_seed", config_.faultSeed);
-        w.putU64("meta.servers", config_.numServers);
-        w.putDouble("meta.facility_budget_w", facilityBudgetW_);
-        w.putString("meta.policy",
-                    budgetPolicyName(options_.policy));
-        w.putString("meta.mode", fleetModeName(options_.mode));
-        w.putBool("meta.faults", config_.faultInjection);
-        w.putBool("meta.solar", config_.solarPowered);
-        w.putU64("meta.racks", n);
-        for (std::size_t r = 0; r < n; ++r) {
-            std::string p = "meta.rack." + std::to_string(r);
-            w.putString(p + ".name", racks[r].name);
-            w.putString(p + ".scheme", racks[r].scheme->name());
-            w.putString(p + ".workload",
-                        racks[r].workload->name());
-        }
-        w.putU64("fleet.tick", at_tick);
-        w.putDouble("fleet.peak_draw_w", result.facilityPeakDrawW);
-        w.putU64("fleet.dense_ticks", result.denseTicks);
-        w.putU64("fleet.macro_spans", result.macroSpans);
-        w.putU64("fleet.macro_span_ticks", result.macroSpanTicks);
-        w.putU64("fleet.shard_kernel_spans",
-                 result.shardKernelSpans);
-        w.putU64("fleet.ff_not_calm_ticks", result.ffNotCalmTicks);
-        w.putU64("fleet.ff_horizon_declines",
-                 result.ffHorizonDeclines);
-        w.putU64("fleet.ff_probe_declines",
-                 result.ffProbeDeclines);
-        for (std::size_t b = 0; b < kFfDeclineHistBins; ++b)
-            w.putU64("fleet.ff_hist." + std::to_string(b),
-                     result.ffDeclinedSpanHist[b]);
-        w.putDouble("fleet.next_health", next_health);
-        feed.save(w);
+        CheckpointFields io(w);
+        Progress p{at_tick, result, next_health, feed.harvestedWh()};
+        manifest_fields(io, p);
         return w.payload();
     };
 
     auto shard_payload = [&](std::size_t r) {
         CheckpointWriter w;
-        w.putString("shard.rack", racks[r].name);
-        domains[r]->checkpointSave(w, "rack.");
+        CheckpointFields io(w);
+        rack_fields(io, r);
         return w.payload();
     };
 
@@ -496,65 +519,21 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             std::string mpath =
                 checkpointFilePath(ckpt.dir, "fleet", t);
             std::string payload, error;
-            if (!readCheckpointFile(mpath, payload, error)) {
-                warn("skipping ", mpath, ": ", error);
-                continue;
-            }
             CheckpointReader m;
-            if (!m.parse(payload, error)) {
+            if (!readCheckpointFile(mpath, payload, error) ||
+                !m.parse(payload, error)) {
                 warn("skipping ", mpath, ": ", error);
                 continue;
             }
-            auto guard = [&](bool ok_field, const char *field) {
-                if (!ok_field)
-                    fatal("checkpoint ", mpath,
-                          " was written under a different ", field,
-                          "; refusing to resume");
-            };
-            guard(m.getDouble("meta.duration_s") ==
-                      config_.durationSeconds,
-                  "duration");
-            guard(m.getDouble("meta.tick_s") ==
-                      config_.tickSeconds,
-                  "tick length");
-            guard(m.getDouble("meta.slot_s") ==
-                      config_.slotSeconds,
-                  "slot length");
-            guard(m.getU64("meta.seed") == config_.seed, "seed");
-            guard(m.getU64("meta.fault_seed") == config_.faultSeed,
-                  "fault seed");
-            guard(m.getU64("meta.servers") == config_.numServers,
-                  "server count");
-            guard(m.getDouble("meta.facility_budget_w") ==
-                      facilityBudgetW_,
-                  "facility budget");
-            guard(m.getString("meta.policy") ==
-                      budgetPolicyName(options_.policy),
-                  "budget policy");
-            guard(m.getString("meta.mode") ==
-                      fleetModeName(options_.mode),
-                  "fleet mode");
-            guard(m.getBool("meta.faults") ==
-                      config_.faultInjection,
-                  "fault-injection setting");
-            guard(m.getBool("meta.solar") == config_.solarPowered,
-                  "supply kind");
-            guard(m.getU64("meta.racks") == n, "rack count");
-            for (std::size_t r = 0; r < n; ++r) {
-                std::string p = "meta.rack." + std::to_string(r);
-                guard(m.getString(p + ".name") == racks[r].name,
-                      "rack roster");
-                guard(m.getString(p + ".scheme") ==
-                          racks[r].scheme->name(),
-                      "rack scheme");
-                guard(m.getString(p + ".workload") ==
-                          racks[r].workload->name(),
-                      "rack workload");
-            }
+            // The guards fire first: a manifest written under another
+            // configuration is fatal, not skipped.
+            Progress at;
+            CheckpointFields manifest(m, mpath);
+            manifest_fields(manifest, at);
 
-            // Validate every shard before mutating any domain, so
-            // a torn shard set falls back to an older checkpoint
-            // with the fleet untouched.
+            // Parse every shard before mutating any domain, so a
+            // torn shard set falls back to an older checkpoint with
+            // the fleet untouched.
             std::vector<CheckpointReader> shards(n);
             bool all_ok = true;
             for (std::size_t r = 0; r < n && all_ok; ++r) {
@@ -570,36 +549,14 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
             if (!all_ok)
                 continue;
             for (std::size_t r = 0; r < n; ++r) {
-                if (shards[r].getString("shard.rack") !=
-                    racks[r].name)
-                    fatal("checkpoint shard ",
-                          fleetShardCheckpointPath(ckpt.dir, t, r),
-                          " belongs to rack '",
-                          shards[r].getString("shard.rack"),
-                          "', expected '", racks[r].name, "'");
-                domains[r]->checkpointLoad(shards[r], "rack.");
+                CheckpointFields shard(
+                    shards[r], fleetShardCheckpointPath(ckpt.dir, t, r));
+                rack_fields(shard, r);
             }
-            tick_i = static_cast<std::size_t>(
-                m.getU64("fleet.tick"));
-            result.facilityPeakDrawW =
-                m.getDouble("fleet.peak_draw_w");
-            result.denseTicks = m.getU64("fleet.dense_ticks");
-            result.macroSpans = m.getU64("fleet.macro_spans");
-            result.macroSpanTicks =
-                m.getU64("fleet.macro_span_ticks");
-            result.shardKernelSpans =
-                m.getU64("fleet.shard_kernel_spans");
-            result.ffNotCalmTicks =
-                m.getU64("fleet.ff_not_calm_ticks");
-            result.ffHorizonDeclines =
-                m.getU64("fleet.ff_horizon_declines");
-            result.ffProbeDeclines =
-                m.getU64("fleet.ff_probe_declines");
-            for (std::size_t b = 0; b < kFfDeclineHistBins; ++b)
-                result.ffDeclinedSpanHist[b] =
-                    m.getU64("fleet.ff_hist." + std::to_string(b));
-            next_health = m.getDouble("fleet.next_health");
-            feed.load(m);
+            tick_i = static_cast<std::size_t>(at.tick);
+            result = std::move(at.counters);
+            next_health = at.nextHealth;
+            feed.restoreHarvestedWh(at.harvestedWh);
             inform("resumed fleet from ", mpath, " at tick ",
                    tick_i, " (t=",
                    static_cast<double>(tick_i) * dt, " s)");

@@ -32,8 +32,7 @@
 
 namespace heb {
 
-class CheckpointReader;
-class CheckpointWriter;
+class CheckpointFields;
 
 /** A rack-level power domain. */
 class RackDomain
@@ -195,23 +194,17 @@ class RackDomain
     }
 
     /**
-     * Serialize this domain's complete mutable state under
-     * @p prefix. Must be called at a tick boundary (between tick()
-     * or fastForwardCommit() calls); mutates nothing, so a
-     * checkpointed run is tick-for-tick identical to a plain one.
-     * Implemented in checkpoint.cpp, which owns the key layout.
+     * Describe this domain's complete mutable state under @p prefix
+     * to @p io, which saves it or loads it back into a domain built
+     * from the identical config/workload/scheme. Call at a tick
+     * boundary (between tick() or fastForwardCommit() calls); a save
+     * mutates nothing, so a checkpointed run is tick-for-tick
+     * identical to a plain one. A load fatal()s when the checkpoint's
+     * shape does not match this domain (device, server and relay
+     * counts, record widths, missing keys). Implemented in
+     * checkpoint.cpp, which owns the key layout.
      */
-    void checkpointSave(CheckpointWriter &writer,
-                        const std::string &prefix) const;
-
-    /**
-     * Restore state written by checkpointSave on a domain built from
-     * the identical config/workload/scheme. fatal() when the
-     * checkpoint shape does not match this domain (device counts,
-     * series lengths, missing keys).
-     */
-    void checkpointLoad(const CheckpointReader &reader,
-                        const std::string &prefix);
+    void checkpoint(CheckpointFields &io, const std::string &prefix);
 
   private:
     /** Apply one fault event whose onset was just reached. */

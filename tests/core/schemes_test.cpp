@@ -163,6 +163,105 @@ TEST(Schemes, HebSGetsCoarserGridFromSeed)
     EXPECT_EQ(heb->pat().size(), 1u);
 }
 
+/** A HEB-D scheme after @p slots learning slots. */
+HebScheme
+trainedHeb(int slots, HebSchemeConfig cfg = {})
+{
+    HebScheme s("HEB-D", cfg);
+    SlotSensors sensors = typicalSensors();
+    for (int i = 0; i < slots; ++i) {
+        SlotPlan plan = s.planSlot(sensors);
+        SlotOutcome outcome;
+        outcome.scStartWh = sensors.scUsableWh;
+        outcome.baStartWh = sensors.baUsableWh;
+        outcome.scEndWh = 10.0 + i;
+        outcome.baEndWh = 50.0;
+        outcome.actualPeakW = 400.0 + 3.0 * i;
+        outcome.actualValleyW = 220.0;
+        outcome.rLambdaUsed = plan.rLambda;
+        s.finishSlot(outcome);
+    }
+    return s;
+}
+
+/** The flat checkpoint state of @p scheme. */
+std::vector<double>
+savedState(ManagementScheme &scheme)
+{
+    std::vector<double> out;
+    StateCursor cursor(out);
+    scheme.checkpoint(cursor);
+    return out;
+}
+
+/** Load @p state into @p scheme as a checkpoint restore does. */
+void
+loadState(ManagementScheme &scheme, const std::vector<double> &state)
+{
+    StateCursor cursor(state, "scheme");
+    scheme.checkpoint(cursor);
+    cursor.finish();
+}
+
+TEST(Schemes, CheckpointRoundTripsLearnedState)
+{
+    HebScheme trained = trainedHeb(5);
+    ASSERT_GE(trained.pat().size(), 1u);
+    std::vector<double> state = savedState(trained);
+
+    HebScheme fresh("HEB-D", HebSchemeConfig{});
+    loadState(fresh, state);
+    EXPECT_EQ(savedState(fresh), state);
+    SlotPlan a = trained.planSlot(typicalSensors());
+    SlotPlan b = fresh.planSlot(typicalSensors());
+    EXPECT_EQ(a.rLambda, b.rLambda);
+    EXPECT_EQ(a.predictedMismatchW, b.predictedMismatchW);
+}
+
+TEST(Schemes, CheckpointRejectsTruncatedOrTrailingState)
+{
+    HebScheme trained = trainedHeb(3);
+    std::vector<double> state = savedState(trained);
+
+    std::vector<double> truncated(state.begin(), state.end() - 1);
+    HebScheme a("HEB-D", HebSchemeConfig{});
+    EXPECT_EXIT(loadState(a, truncated), ::testing::ExitedWithCode(1),
+                "truncated state while reading pat updates");
+
+    std::vector<double> trailing = state;
+    trailing.push_back(0.0);
+    HebScheme b("HEB-D", HebSchemeConfig{});
+    EXPECT_EXIT(loadState(b, trailing), ::testing::ExitedWithCode(1),
+                "1 trailing values");
+}
+
+TEST(Schemes, CheckpointRejectsBadPatCount)
+{
+    // HEB-F with an empty table: the PAT entry count is the last
+    // value, after the plan and two last-value predictors.
+    auto scheme = makeScheme(SchemeKind::HebF);
+    std::vector<double> state = savedState(*scheme);
+    ASSERT_EQ(state.size(), 10u);
+    for (double bad : {-1.0, 0.5}) {
+        state.back() = bad;
+        auto other = makeScheme(SchemeKind::HebF);
+        EXPECT_EXIT(loadState(*other, state),
+                    ::testing::ExitedWithCode(1),
+                    "bad count for pat entry count")
+            << bad;
+    }
+}
+
+TEST(Schemes, CheckpointRejectsOtherSeasonLength)
+{
+    std::vector<double> state = savedState(*makeScheme(SchemeKind::HebD));
+    HebSchemeConfig cfg;
+    cfg.hwParams.seasonLength = 72;
+    HebScheme shorter("HEB-D", cfg);
+    EXPECT_EXIT(loadState(shorter, state), ::testing::ExitedWithCode(1),
+                "seasonal length 144 does not match configured 72");
+}
+
 TEST(Schemes, PrioritySchemesIgnoreOutcomes)
 {
     auto s = makeScheme(SchemeKind::ScFirst);
