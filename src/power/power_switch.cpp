@@ -2,48 +2,20 @@
 
 namespace heb {
 
-const char *
-switchFeedName(SwitchFeed feed)
-{
-    switch (feed) {
-      case SwitchFeed::Utility: return "utility";
-      case SwitchFeed::Battery: return "battery";
-      case SwitchFeed::Supercap: return "supercap";
-      case SwitchFeed::Off: return "off";
-    }
-    return "?";
-}
-
-PowerSwitch::PowerSwitch(std::string name, PowerSwitchParams params)
-    : name_(std::move(name)), params_(params)
-{
-}
-
 void
-PowerSwitch::command(SwitchFeed feed, double now_seconds)
+PowerSwitch::command(SwitchFeed feed)
 {
     if (feed == target_)
         return;
     target_ = feed;
-    settleTime_ = now_seconds + params_.switchingLatencyS;
     ++actuations_;
-}
-
-SwitchFeed
-PowerSwitch::feedAt(double now_seconds) const
-{
-    if (now_seconds < settleTime_)
-        return SwitchFeed::Off;
-    return target_;
 }
 
 double
 PowerSwitch::wearFraction() const
 {
-    if (params_.ratedActuations == 0)
-        return 0.0;
     return static_cast<double>(actuations_) /
-           static_cast<double>(params_.ratedActuations);
+           static_cast<double>(kRatedActuations);
 }
 
 } // namespace heb

@@ -3,58 +3,34 @@
  * Two-way relay connecting one server to an energy-buffer branch.
  *
  * The prototype (paper Fig. 11) wires each server through a two-way
- * relay that selects between the battery branch and the SC branch;
- * an off position exists for forced shutdowns. Relays have finite
- * switching latency and a mechanical actuation life, both tracked
- * here so the controller can reason about switching cost.
+ * relay that selects between the battery branch and the SC branch.
+ * The simulator keeps what a run reports from it: the actuation count
+ * and the share of the rated mechanical life it has used.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace heb {
 
 /** The branch a power switch currently feeds from. */
-enum class SwitchFeed { Utility, Battery, Supercap, Off };
+enum class SwitchFeed { Utility, Battery, Supercap };
 
-/** Render a feed for logs/tables. */
-const char *switchFeedName(SwitchFeed feed);
-
-/** Knobs of a relay. */
-struct PowerSwitchParams
-{
-    /** Time for contacts to settle after a command (s). */
-    double switchingLatencyS = 0.02;
-    /** Rated mechanical actuations. */
-    std::uint64_t ratedActuations = 1000000;
-};
-
-/** One two-way (plus off) relay. */
+/** One two-way relay. */
 class PowerSwitch
 {
   public:
-    /** Construct closed on the utility feed. */
-    explicit PowerSwitch(std::string name,
-                         PowerSwitchParams params = PowerSwitchParams());
-
-    /** Relay label. */
-    const std::string &name() const { return name_; }
+    /** Rated mechanical actuations. */
+    static constexpr std::uint64_t kRatedActuations = 1000000;
 
     /**
-     * Command the relay to @p feed at time @p now_seconds. A no-op
-     * when already on that feed (no actuation counted).
+     * Command the relay to @p feed. A no-op when already on that
+     * feed (no actuation counted).
      */
-    void command(SwitchFeed feed, double now_seconds);
+    void command(SwitchFeed feed);
 
-    /**
-     * The feed actually connected at @p now_seconds: during the
-     * switching latency window the relay floats (Off).
-     */
-    SwitchFeed feedAt(double now_seconds) const;
-
-    /** The commanded (target) feed. */
+    /** The commanded feed. */
     SwitchFeed commandedFeed() const { return target_; }
 
     /** Total actuations so far. */
@@ -67,29 +43,21 @@ class PowerSwitch
     struct State
     {
         SwitchFeed target = SwitchFeed::Utility;
-        double settleTime = 0.0;
         std::uint64_t actuations = 0;
     };
 
     /** Snapshot the relay state. */
-    State state() const
-    {
-        return {target_, settleTime_, actuations_};
-    }
+    State state() const { return {target_, actuations_}; }
 
     /** Restore a state previously read with state(). */
     void restoreState(const State &state)
     {
         target_ = state.target;
-        settleTime_ = state.settleTime;
         actuations_ = state.actuations;
     }
 
   private:
-    std::string name_;
-    PowerSwitchParams params_;
     SwitchFeed target_ = SwitchFeed::Utility;
-    double settleTime_ = 0.0; //!< when the last command completes
     std::uint64_t actuations_ = 0;
 };
 

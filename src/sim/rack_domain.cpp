@@ -81,6 +81,7 @@ RackDomain::RackDomain(const SimConfig &config,
       topology_(config.topology, config.deployment,
                 std::max(1000.0, cluster_.nameplatePeakW())),
       controller_(scheme, *scBank_, *baBank_, config.slotSeconds),
+      switches_(config.numServers),
       util_(config.numServers, 0.0),
       demandSeries_(config.tickSeconds),
       supplySeries_(config.tickSeconds),
@@ -94,8 +95,6 @@ RackDomain::RackDomain(const SimConfig &config,
             workload_.peakClass() == PeakClass::Small
                 ? Server::Frequency::Low
                 : Server::Frequency::High);
-        switches_.emplace_back(name_ + "-relay-" +
-                               std::to_string(s));
     }
     if (config_.sensorNoiseSigma > 0.0) {
         controller_.setSensorNoise(config_.sensorNoiseSigma,
@@ -285,7 +284,7 @@ RackDomain::tick(double now_seconds, double supply_w)
         if (in_mismatch)
             feed = s < on_sc ? SwitchFeed::Supercap
                              : SwitchFeed::Battery;
-        switches_[s].command(feed, now);
+        switches_[s].command(feed);
     }
 
     TickOutcome outcome;
@@ -614,7 +613,7 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
     // One relay command replicates n same-feed commands (later ones
     // are no-ops).
     for (std::size_t s = 0; s < config_.numServers; ++s)
-        switches_[s].command(SwitchFeed::Utility, t1);
+        switches_[s].command(SwitchFeed::Utility);
 
     const bool buffer_up = topology_.bufferStageAvailable(t1);
     const double surplus = soft_cap - demand;
