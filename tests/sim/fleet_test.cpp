@@ -10,6 +10,7 @@
 
 #include "core/schemes.h"
 #include "fault/fault_plan.h"
+#include "obs/metrics.h"
 #include "power/solar_array.h"
 #include "sim/experiment.h"
 #include "sim/fleet.h"
@@ -437,6 +438,53 @@ TEST(FleetEvent, DeclineCountersOnContendedFaultyFleet)
          {"\"ff_not_calm_ticks\"", "\"ff_horizon_declines\"",
           "\"ff_probe_declines\"", "\"ff_declined_span_hist\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
+}
+
+/**
+ * Horizon declines go to the first rack whose horizon is the fleet
+ * minimum. In [PR, WS, MS] the diurnal WS rack answers "no guarantee"
+ * (its horizon is now) on every calm tick, while PR's jitter grid
+ * always lies ahead, so rack 1 owns every horizon decline and the
+ * later MS rack, also diurnal, owns none.
+ */
+TEST(FleetEvent, HorizonDeclinesGoToFirstRackAtTheMinimum)
+{
+    SimConfig cfg;
+    cfg.durationSeconds = 2.0 * 3600.0;
+    std::vector<std::unique_ptr<SyntheticWorkload>> workloads;
+    std::vector<std::unique_ptr<ManagementScheme>> schemes;
+    std::vector<RackSpec> specs;
+    const char *names[3] = {"PR", "WS", "MS"};
+    for (std::size_t i = 0; i < 3; ++i) {
+        workloads.push_back(makeWorkload(names[i]));
+        schemes.push_back(makeScheme(SchemeKind::HebD));
+        specs.push_back(RackSpec{std::string("horizon_") + names[i],
+                                 workloads[i].get(), schemes[i].get()});
+    }
+    auto horizon_declines = [&](std::size_t rack) {
+        return obs::MetricsRegistry::global()
+            .counter("fleet.ff_decline_total",
+                     {{"rack", specs[rack].name}, {"reason", "horizon"}})
+            .value();
+    };
+    double before[3];
+    for (std::size_t r = 0; r < 3; ++r)
+        before[r] = horizon_declines(r);
+
+    obs::setTelemetryLevel(obs::TelemetryLevel::Metrics);
+    FleetResult result =
+        FleetSimulator(cfg, 3.0 * 1000.0,
+                       FleetOptions{BudgetPolicy::Proportional,
+                                    FleetMode::Event, true})
+            .run(specs);
+    obs::setTelemetryLevel(obs::TelemetryLevel::Off);
+
+    ASSERT_GT(result.ffHorizonDeclines, 0ul);
+    EXPECT_EQ(result.macroSpans, 0ul);
+    EXPECT_EQ(horizon_declines(0) - before[0], 0.0);
+    EXPECT_EQ(horizon_declines(1) - before[1],
+              static_cast<double>(result.ffHorizonDeclines));
+    EXPECT_EQ(horizon_declines(2) - before[2], 0.0);
 }
 
 /**
