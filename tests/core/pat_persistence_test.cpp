@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pat.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace {
@@ -15,7 +16,7 @@ class PatPersistenceTest : public testing::Test
     void
     SetUp() override
     {
-        path_ = testing::TempDir() + "heb_pat_test.csv";
+        path_ = test::uniqueTempPath("pat.csv");
     }
 
     void

@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/experiment.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace obs {
@@ -97,7 +98,7 @@ TEST(GoldenTrace, OneSlotSimEmitsParseableSchema)
     setActiveTrace(nullptr);
     setTelemetryLevel(TelemetryLevel::Off);
 
-    std::string path = ::testing::TempDir() + "/golden_trace.jsonl";
+    std::string path = test::uniqueTempPath("trace.jsonl");
     trace.writeJsonl(path);
 
     std::ifstream in(path);

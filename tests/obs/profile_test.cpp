@@ -13,6 +13,7 @@
 
 #include "obs/manifest.h"
 #include "obs/profile.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace obs {
@@ -106,7 +107,7 @@ TEST(Manifest, WriteProducesReadableFile)
     RunManifest m;
     m.tool = "unit_test";
     m.includeMetrics = false;
-    std::string path = ::testing::TempDir() + "/manifest_test.json";
+    std::string path = test::uniqueTempPath("manifest.json");
     writeRunManifest(path, m);
 
     std::ifstream in(path);

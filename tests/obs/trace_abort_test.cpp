@@ -14,6 +14,7 @@
 #include <string>
 
 #include "obs/trace.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace obs {
@@ -38,7 +39,7 @@ TEST(TraceAbort, TryWriteReportsUnwritablePath)
     t.record(TraceEventKind::Tick, 0.0, {1.0});
     EXPECT_FALSE(
         t.tryWriteJsonl("/nonexistent-dir/heb_trace.jsonl"));
-    std::string ok = ::testing::TempDir() + "/try_write.jsonl";
+    std::string ok = test::uniqueTempPath("trace.jsonl");
     EXPECT_TRUE(t.tryWriteJsonl(ok));
     EXPECT_EQ(lineCount(ok), 1u);
     std::remove(ok.c_str());
@@ -46,7 +47,7 @@ TEST(TraceAbort, TryWriteReportsUnwritablePath)
 
 TEST(TraceAbort, ExitPathFlushesArmedRecorder)
 {
-    std::string path = ::testing::TempDir() + "/abort_exit.jsonl";
+    std::string path = test::uniqueTempPath("trace.jsonl");
     std::remove(path.c_str());
     EXPECT_EXIT(
         {
@@ -68,8 +69,7 @@ TEST(TraceAbort, TerminateFlushesArmedRecorder)
     // An uncaught throw ends in std::terminate(); call it directly
     // because the death-test harness would intercept the exception
     // before the runtime could.
-    std::string path =
-        ::testing::TempDir() + "/abort_terminate.jsonl";
+    std::string path = test::uniqueTempPath("trace.jsonl");
     std::remove(path.c_str());
     EXPECT_DEATH(
         {
@@ -87,7 +87,7 @@ TEST(TraceAbort, TerminateFlushesArmedRecorder)
 
 TEST(TraceAbort, ClearedHookWritesNothing)
 {
-    std::string path = ::testing::TempDir() + "/abort_clear.jsonl";
+    std::string path = test::uniqueTempPath("trace.jsonl");
     std::remove(path.c_str());
     EXPECT_EXIT(
         {
@@ -104,9 +104,8 @@ TEST(TraceAbort, ClearedHookWritesNothing)
 
 TEST(TraceAbort, ReinstallReplacesRecorderAndPath)
 {
-    std::string first = ::testing::TempDir() + "/abort_first.jsonl";
-    std::string second =
-        ::testing::TempDir() + "/abort_second.jsonl";
+    std::string first = test::uniqueTempPath("first.jsonl");
+    std::string second = test::uniqueTempPath("second.jsonl");
     std::remove(first.c_str());
     std::remove(second.c_str());
     EXPECT_EXIT(

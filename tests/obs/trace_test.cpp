@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace obs {
@@ -131,7 +132,7 @@ TEST_F(TraceTest, JsonlLinesAreSelfDescribing)
              {100.0, 90.0, 5.0, 5.0, 0.0, 90.0});
     t.record(TraceEventKind::Shed, 2.0, {12.0, 1.0, 5.0});
 
-    std::string path = ::testing::TempDir() + "/trace_test.jsonl";
+    std::string path = test::uniqueTempPath("trace.jsonl");
     t.writeJsonl(path);
     auto lines = readLines(path);
     ASSERT_EQ(lines.size(), 2u);
@@ -156,7 +157,7 @@ TEST_F(TraceTest, CsvHasFixedHeaderAndTypeColumn)
     TraceRecorder t(8);
     t.record(TraceEventKind::Restart, 3.0, {6.0});
 
-    std::string path = ::testing::TempDir() + "/trace_test.csv";
+    std::string path = test::uniqueTempPath("trace.csv");
     t.writeCsv(path);
     auto lines = readLines(path);
     ASSERT_EQ(lines.size(), 2u);

@@ -27,6 +27,7 @@
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "workload/workload_profiles.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace {
@@ -37,10 +38,7 @@ namespace fs = std::filesystem;
 std::string
 freshDir(const std::string &tag)
 {
-    fs::path dir = fs::path(::testing::TempDir()) / ("heb_ckpt_" + tag);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
+    return test::uniqueTempDir("ckpt_" + tag).string();
 }
 
 /** Rig shared by the witnesses: short, faulty, 1 s ticks. */

@@ -7,6 +7,7 @@
 #include "sim/experiment.h"
 #include "sim/result_io.h"
 #include "util/csv.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace {
@@ -17,7 +18,7 @@ TEST(ResultIo, SeriesRoundTrip)
     cfg.durationSeconds = 2.0 * 3600.0;
     SimResult r = runOne(cfg, "WC", SchemeKind::ScFirst);
 
-    std::string prefix = testing::TempDir() + "heb_result";
+    std::string prefix = test::uniqueTempPath("result");
     writeResultSeries(r, prefix);
 
     CsvTable ticks = readCsv(prefix + "_ticks.csv");
@@ -39,7 +40,7 @@ TEST(ResultIo, MetricsTable)
     results.push_back(runOne(cfg, "WC", SchemeKind::BaOnly));
     results.push_back(runOne(cfg, "WC", SchemeKind::HebD));
 
-    std::string path = testing::TempDir() + "heb_metrics.csv";
+    std::string path = test::uniqueTempPath("metrics.csv");
     writeResultMetrics(results, path);
     CsvTable t = readCsv(path);
     EXPECT_EQ(t.rows.size(), 2u);
@@ -67,7 +68,7 @@ TEST(ResultIo, MetricsRoundTripExact)
     r.ledger.scToLoadWh = 2.5e-7;
     r.ledger.unservedWh = 1e-7;
 
-    std::string path = testing::TempDir() + "heb_metrics_exact.csv";
+    std::string path = test::uniqueTempPath("metrics.csv");
     writeResultMetrics({r}, path);
     CsvTable t = readCsv(path);
     ASSERT_EQ(t.rows.size(), 1u);

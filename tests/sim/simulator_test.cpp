@@ -12,6 +12,7 @@
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "workload/workload_profiles.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace {
@@ -289,10 +290,7 @@ TEST(Simulator, CheckpointedAndResumedDigestsPinned)
     };
     EXPECT_EQ(digest(pinnedRun(cfg, "TS", SchemeKind::HebD)), pinned);
 
-    fs::path dir =
-        fs::path(::testing::TempDir()) / "heb_sim_pinned_ckpt";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    fs::path dir = test::uniqueTempDir("ckpt");
     CheckpointOptions every;
     every.everySimSeconds = cfg.durationSeconds / 3.0;
     every.dir = dir.string();

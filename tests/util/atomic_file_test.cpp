@@ -1,4 +1,5 @@
 #include "util/atomic_file.h"
+#include "test_paths.h"
 
 #include <gtest/gtest.h>
 
@@ -21,9 +22,7 @@ readAll(const std::string &path)
 
 TEST(AtomicFile, WritesNewFile)
 {
-    fs::path dir = fs::path(::testing::TempDir()) / "heb_atomic_new";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    fs::path dir = test::uniqueTempDir("dir");
     std::string path = (dir / "out.txt").string();
 
     ASSERT_TRUE(writeFileAtomic(path, "hello\nworld\n"));
@@ -32,10 +31,7 @@ TEST(AtomicFile, WritesNewFile)
 
 TEST(AtomicFile, ReplacesExistingFileCompletely)
 {
-    fs::path dir =
-        fs::path(::testing::TempDir()) / "heb_atomic_replace";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    fs::path dir = test::uniqueTempDir("dir");
     std::string path = (dir / "out.txt").string();
 
     ASSERT_TRUE(writeFileAtomic(
@@ -47,9 +43,7 @@ TEST(AtomicFile, ReplacesExistingFileCompletely)
 
 TEST(AtomicFile, LeavesNoTemporaryBehind)
 {
-    fs::path dir = fs::path(::testing::TempDir()) / "heb_atomic_tmp";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    fs::path dir = test::uniqueTempDir("dir");
     std::string path = (dir / "out.txt").string();
 
     ASSERT_TRUE(writeFileAtomic(path, "payload"));
@@ -63,8 +57,7 @@ TEST(AtomicFile, LeavesNoTemporaryBehind)
 
 TEST(AtomicFile, FailsCleanlyWhenDirectoryMissing)
 {
-    fs::path dir =
-        fs::path(::testing::TempDir()) / "heb_atomic_missing";
+    fs::path dir = test::uniqueTempPath("missing");
     fs::remove_all(dir);
     std::string path = (dir / "sub" / "out.txt").string();
 
@@ -74,9 +67,7 @@ TEST(AtomicFile, FailsCleanlyWhenDirectoryMissing)
 
 TEST(AtomicFile, HandlesEmptyAndBinaryContent)
 {
-    fs::path dir = fs::path(::testing::TempDir()) / "heb_atomic_bin";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    fs::path dir = test::uniqueTempDir("dir");
 
     std::string empty_path = (dir / "empty").string();
     ASSERT_TRUE(writeFileAtomic(empty_path, ""));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "util/config.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace {
@@ -91,7 +92,7 @@ TEST(Config, SetOverrides)
 
 TEST(Config, FromFileRoundTrip)
 {
-    std::string path = testing::TempDir() + "heb_config_test.cfg";
+    std::string path = test::uniqueTempPath("config.cfg");
     {
         std::ofstream out(path);
         out << "budget_w = 300\nsolar = true\n";

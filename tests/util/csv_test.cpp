@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "util/csv.h"
+#include "test_paths.h"
 
 namespace heb {
 namespace {
@@ -16,7 +17,7 @@ class CsvTest : public testing::Test
     void
     SetUp() override
     {
-        path_ = testing::TempDir() + "heb_csv_test.csv";
+        path_ = test::uniqueTempPath("table.csv");
     }
 
     void
