@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "dc/server.h"
+#include "dc/cluster.h"
 #include "esd/battery.h"
 #include "esd/efficiency_meter.h"
 #include "esd/peukert_battery.h"

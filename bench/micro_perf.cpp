@@ -6,12 +6,16 @@
  * stay well under a second so the evaluation sweeps remain cheap.
  */
 
+#include <cstdint>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "core/load_assignment.h"
 #include "core/pat.h"
 #include "core/predictor.h"
 #include "core/schemes.h"
+#include "dc/cluster.h"
 #include "esd/bank_builder.h"
 #include "esd/battery.h"
 #include "esd/supercapacitor.h"
@@ -152,21 +156,45 @@ BM_WorkloadUtilization(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadUtilization);
 
-// One rack's demand step: batched WC utilizations for six servers.
+// One rack's utilizations: batched WC utilizations for six servers,
+// with the per-server terms cached as RackDomain caches them.
 void
 BM_WorkloadUtilizations(benchmark::State &state)
 {
     auto w = makeWorkload("WC");
+    UtilizationCache cache;
     double util[6];
     double t = 0.0;
     for (auto _ : state) {
-        w->utilizations(t, util);
+        w->utilizations(t, util, cache);
         benchmark::DoNotOptimize(util);
         benchmark::ClobberMemory();
         t += 1.0;
     }
 }
 BENCHMARK(BM_WorkloadUtilizations);
+
+// The fleet_table1 rack shape's demand step: cached WC utilizations
+// for 196 servers plus the cluster's fused activity-and-power pass.
+void
+BM_WorkloadRackDemand(benchmark::State &state)
+{
+    constexpr std::size_t kServers = 196;
+    auto w = makeWorkload("WC");
+    UtilizationCache cache;
+    Cluster cluster(kServers);
+    cluster.setFrequency(Cluster::Frequency::Low);
+    std::vector<double> util(kServers);
+    double t = 0.0;
+    for (auto _ : state) {
+        w->utilizations(t, util, cache);
+        benchmark::DoNotOptimize(cluster.demandW(util, t));
+        t += 1.0;
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kServers));
+}
+BENCHMARK(BM_WorkloadRackDemand);
 
 void
 BM_SimulatorDay(benchmark::State &state)

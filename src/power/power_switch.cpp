@@ -2,15 +2,6 @@
 
 namespace heb {
 
-void
-PowerSwitch::command(SwitchFeed feed)
-{
-    if (feed == target_)
-        return;
-    target_ = feed;
-    ++actuations_;
-}
-
 double
 PowerSwitch::wearFraction() const
 {

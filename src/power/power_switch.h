@@ -28,7 +28,14 @@ class PowerSwitch
      * Command the relay to @p feed. A no-op when already on that
      * feed (no actuation counted).
      */
-    void command(SwitchFeed feed);
+    void
+    command(SwitchFeed feed)
+    {
+        if (feed == target_)
+            return;
+        target_ = feed;
+        ++actuations_;
+    }
 
     /** The commanded feed. */
     SwitchFeed commandedFeed() const { return target_; }

@@ -585,13 +585,13 @@ RackDomain::checkpoint(CheckpointFields &io, const std::string &prefix)
 
     io.same(key("servers"), cluster_.size(), "server count");
     for (std::size_t i = 0; i < cluster_.size(); ++i) {
-        Server::State s = cluster_.server(i).state();
+        Cluster::ServerState s = cluster_.serverState(i);
         io.record(key("server.") + std::to_string(i),
                   [&](StateCursor &c) {
-                      bool high = s.frequency == Server::Frequency::High;
+                      bool high = s.frequency == Cluster::Frequency::High;
                       c.flag(high);
-                      s.frequency = high ? Server::Frequency::High
-                                         : Server::Frequency::Low;
+                      s.frequency = high ? Cluster::Frequency::High
+                                         : Cluster::Frequency::Low;
                       c.flag(s.on);
                       c.value(s.bootDoneTime);
                       c.value(s.lastActive);
@@ -599,7 +599,7 @@ RackDomain::checkpoint(CheckpointFields &io, const std::string &prefix)
                       c.count(s.cycles);
                   });
         if (io.loading())
-            cluster_.server(i).restoreState(s);
+            cluster_.restoreServer(i, s);
     }
 
     // Topology: only the buffer stage trips.

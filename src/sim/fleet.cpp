@@ -665,6 +665,10 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
                 // feed's edge is the nearer one.
                 horizon_rack = r;
             }
+            // No horizon lies before `now`, so a rack at `now` holds
+            // the minimum and the later racks cannot take it over.
+            if (h <= now)
+                break;
         }
         horizon = std::min(horizon, feed.nextChangeTime(now));
         double t1 = static_cast<double>(tick_i) * dt;

@@ -90,12 +90,9 @@ RackDomain::RackDomain(const SimConfig &config,
       baSocSeries_(config.slotSeconds),
       rLambdaSeries_(config.slotSeconds)
 {
-    for (std::size_t s = 0; s < config_.numServers; ++s) {
-        cluster_.server(s).setFrequency(
-            workload_.peakClass() == PeakClass::Small
-                ? Server::Frequency::Low
-                : Server::Frequency::High);
-    }
+    cluster_.setFrequency(workload_.peakClass() == PeakClass::Small
+                              ? Cluster::Frequency::Low
+                              : Cluster::Frequency::High);
     if (config_.sensorNoiseSigma > 0.0) {
         controller_.setSensorNoise(config_.sensorNoiseSigma,
                                    config_.seed ^ 0x5eb5eb5eULL);
@@ -189,10 +186,8 @@ double
 RackDomain::computeDemand(double now_seconds)
 {
     HEB_PROF_SCOPE("dc.demand");
-    workload_.utilizations(now_seconds, util_);
-    for (std::size_t s = 0; s < config_.numServers; ++s)
-        cluster_.server(s).touch(now_seconds, util_[s]);
-    cachedDemand_ = cluster_.totalPowerW(util_, now_seconds);
+    workload_.utilizations(now_seconds, util_, utilCache_);
+    cachedDemand_ = cluster_.demandW(util_, now_seconds);
     return cachedDemand_;
 }
 
@@ -229,16 +224,14 @@ RackDomain::tick(double now_seconds, double supply_w)
 
     // Optional DVFS capping before touching buffers (paper §1).
     if (config_.dvfsCapping) {
-        Server::Frequency nominal =
+        Cluster::Frequency nominal =
             workload_.peakClass() == PeakClass::Small
-                ? Server::Frequency::Low
-                : Server::Frequency::High;
+                ? Cluster::Frequency::Low
+                : Cluster::Frequency::High;
         bool throttled =
-            demand > supply_w && nominal == Server::Frequency::High;
-        for (std::size_t s = 0; s < config_.numServers; ++s) {
-            cluster_.server(s).setFrequency(
-                throttled ? Server::Frequency::Low : nominal);
-        }
+            demand > supply_w && nominal == Cluster::Frequency::High;
+        cluster_.setFrequency(throttled ? Cluster::Frequency::Low
+                                        : nominal);
         if (throttled) {
             demand = cluster_.totalPowerW(util_, now);
             perfDegradation_ +=
@@ -405,27 +398,20 @@ RackDomain::tick(double now_seconds, double supply_w)
                 config_.numServers &&
             now - lastRestart_ > 300.0 &&
             surplus > config_.serverParams.peakPowerW) {
-            for (std::size_t s = 0; s < config_.numServers; ++s) {
-                if (!cluster_.server(s).isOn()) {
-                    cluster_.server(s).powerOn(now);
-                    lastRestart_ = now;
-                    if (metrics)
-                        metrics->restarts.inc();
-                    if (tr) {
-                        tr->record(obs::TraceEventKind::Restart, now,
-                                   {static_cast<double>(
-                                       cluster_.onlineCount())});
-                    }
-                    break;
+            if (cluster_.powerOnFirstOffline(now)) {
+                lastRestart_ = now;
+                if (metrics)
+                    metrics->restarts.inc();
+                if (tr) {
+                    tr->record(obs::TraceEventKind::Restart, now,
+                               {static_cast<double>(
+                                   cluster_.onlineCount())});
                 }
             }
         }
     }
 
-    for (std::size_t s = 0; s < config_.numServers; ++s) {
-        if (!cluster_.server(s).isOn())
-            cluster_.server(s).accrueDowntime(dt);
-    }
+    cluster_.accrueDowntime(dt);
 
     ledger_.unservedWh += unserved * dt_h;
     if (unserved > 1e-9) {
@@ -532,13 +518,12 @@ RackDomain::fastForwardCheck(std::size_t n_ticks, double supply_w)
     // of what that tick will do itself).
     if (cluster_.onlineCount() != config_.numServers)
         return false;
-    const Server::Frequency nominal =
+    const Cluster::Frequency nominal =
         workload_.peakClass() == PeakClass::Small
-            ? Server::Frequency::Low
-            : Server::Frequency::High;
+            ? Cluster::Frequency::Low
+            : Cluster::Frequency::High;
     for (std::size_t s = 0; s < config_.numServers; ++s) {
-        const Server &sv = cluster_.server(s);
-        if (!sv.isUp(t1) || sv.frequency() != nominal)
+        if (!cluster_.isUp(s, t1) || cluster_.frequency(s) != nominal)
             return false;
     }
     // A jitter window advances the telemetry RNG every tick; the
@@ -699,10 +684,9 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
         }
     }
 
-    // LRU bookkeeping: the last touch wins, so one touch at the
-    // interval end replicates n per-tick touches.
-    for (std::size_t s = 0; s < config_.numServers; ++s)
-        cluster_.server(s).touch(t_last, util_[s]);
+    // LRU bookkeeping: the last activity record wins, so one demand
+    // pass at the interval end replicates n per-tick ones.
+    (void)cluster_.demandW(util_, t_last);
     plannedOffline_ = 0;
     tickIndex_ += n;
 

@@ -226,6 +226,7 @@ class RackDomain
     std::unique_ptr<DegradationPolicy> degradation_;
 
     std::vector<double> util_;
+    UtilizationCache utilCache_; //!< derived; never checkpointed
     std::uint16_t traceTrack_ = 0;
     std::uint64_t tickIndex_ = 0;
     double cachedDemand_ = 0.0;

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "dc/server.h"
+#include "dc/cluster.h"
 #include "fault/fault_plan.h"
 #include "power/solar_array.h"
 #include "power/topology.h"

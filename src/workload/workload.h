@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 namespace heb {
 
@@ -20,6 +22,26 @@ enum class PeakClass { Small, Large };
 
 /** Render a peak class for logs/tables. */
 const char *peakClassName(PeakClass peak_class);
+
+class Workload;
+
+/**
+ * Caller-owned memo for Workload::utilizations(): the per-server terms
+ * that do not move from one tick to the next. SyntheticWorkload keeps
+ * each server's stagger offset here, and each server's jitter for the
+ * 5 s cell it evaluated last. A cache serves the one workload that
+ * filled it; handed another workload or another server count, it
+ * refills. It must not outlive that workload, whose address is its
+ * key. It holds no simulation state, so checkpoints skip it.
+ */
+struct UtilizationCache
+{
+    const Workload *owner = nullptr; //!< workload that filled it
+    std::vector<double> stagger;     //!< per-server stagger offset (s)
+    std::vector<double> jitter;      //!< per-server jitter in `cell`
+    std::uint64_t cell = 0;          //!< jitter-cell key `jitter` holds
+    bool cellValid = false;          //!< whether `jitter` is filled
+};
 
 /** A utilization generator. */
 class Workload
@@ -44,11 +66,14 @@ class Workload
      * Batched utilization(): out[s] = utilization(s, @p time_seconds)
      * for every s in [0, out.size()), bit for bit. Subclasses
      * override it to share the server-independent work of one
-     * timestamp across the servers.
+     * timestamp across the servers and to keep terms that outlive
+     * one tick in @p cache; calls may go back in time.
      */
     virtual void
-    utilizations(double time_seconds, std::span<double> out) const
+    utilizations(double time_seconds, std::span<double> out,
+                 UtilizationCache &cache) const
     {
+        (void)cache;
         for (std::size_t s = 0; s < out.size(); ++s)
             out[s] = utilization(s, time_seconds);
     }

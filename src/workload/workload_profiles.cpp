@@ -30,13 +30,19 @@ hash01(std::uint64_t x)
     return static_cast<double>(x >> 11) / 9007199254740992.0;
 }
 
-/** Server @p s's offset into its staggered period at @p t (s). */
+/** Server @p s's stagger into its period (s): fixed per server. */
 double
-phaseAt(const ProfileParams &p, std::uint64_t seed, std::size_t s,
-        double t, double period)
+staggerOffset(const ProfileParams &p, std::uint64_t seed, std::size_t s,
+              double period)
 {
-    double stagger = p.serverStagger * period *
-                     hash01(seed * 1315423911ULL + s * 2654435761ULL);
+    return p.serverStagger * period *
+           hash01(seed * 1315423911ULL + s * 2654435761ULL);
+}
+
+/** Offset into the period at @p t of a server staggered by @p stagger. */
+double
+phaseAt(double t, double stagger, double period)
+{
     double phase = fastFmod(t + stagger, period);
     if (phase < 0.0)
         phase += period;
@@ -67,17 +73,22 @@ timeTerms(const ProfileParams &p, double t)
     return tt;
 }
 
+/** Deterministic jitter: a hash of the (server, 5 s cell) pair. */
 double
-serverUtilization(const ProfileParams &p, std::uint64_t seed,
-                  std::size_t s, double t, const TimeTerms &tt)
+jitterTerm(const ProfileParams &p, std::uint64_t seed, std::size_t s,
+           std::uint64_t jitter_cell)
 {
-    double base = phaseAt(p, seed, s, t, tt.period) < p.highPhaseS
-                      ? p.highUtil
-                      : p.lowUtil;
-    // Deterministic jitter: a hash of the (server, 5 s cell) pair.
-    double j = (hash01(seed ^ (s * 7919ULL) ^ tt.jitterCell) - 0.5) *
-               2.0 * p.jitter;
-    return std::clamp(base + j + tt.diurnal, 0.0, 1.0);
+    return (hash01(seed ^ (s * 7919ULL) ^ jitter_cell) - 0.5) * 2.0 *
+           p.jitter;
+}
+
+/** Utilization at @p phase with the server's jitter and the envelope. */
+double
+levelAt(const ProfileParams &p, double phase, double jitter,
+        double diurnal)
+{
+    double base = phase < p.highPhaseS ? p.highUtil : p.lowUtil;
+    return std::clamp(base + jitter + diurnal, 0.0, 1.0);
 }
 
 } // namespace
@@ -96,17 +107,46 @@ double
 SyntheticWorkload::utilization(std::size_t server_index,
                                double time_seconds) const
 {
-    return serverUtilization(params_, seed_, server_index, time_seconds,
-                             timeTerms(params_, time_seconds));
+    const TimeTerms tt = timeTerms(params_, time_seconds);
+    double stagger =
+        staggerOffset(params_, seed_, server_index, tt.period);
+    return levelAt(params_, phaseAt(time_seconds, stagger, tt.period),
+                   jitterTerm(params_, seed_, server_index,
+                              tt.jitterCell),
+                   tt.diurnal);
 }
 
 void
 SyntheticWorkload::utilizations(double time_seconds,
-                                std::span<double> out) const
+                                std::span<double> out,
+                                UtilizationCache &cache) const
 {
+    const std::size_t n = out.size();
     const TimeTerms tt = timeTerms(params_, time_seconds);
-    for (std::size_t s = 0; s < out.size(); ++s)
-        out[s] = serverUtilization(params_, seed_, s, time_seconds, tt);
+    // The stagger is a pure function of (seed, s) and the jitter of
+    // (seed, s, cell): both are evaluated with utilization()'s own
+    // expressions, so the cached values are its values bit for bit.
+    if (cache.owner != this || cache.stagger.size() != n) {
+        cache.owner = this;
+        cache.stagger.resize(n);
+        for (std::size_t s = 0; s < n; ++s)
+            cache.stagger[s] = staggerOffset(params_, seed_, s, tt.period);
+        cache.jitter.resize(n);
+        cache.cellValid = false;
+    }
+    // The cell key is the cell index times an odd constant, so no two
+    // cells share one; any move, backwards included, refills.
+    if (!cache.cellValid || cache.cell != tt.jitterCell) {
+        for (std::size_t s = 0; s < n; ++s)
+            cache.jitter[s] = jitterTerm(params_, seed_, s, tt.jitterCell);
+        cache.cell = tt.jitterCell;
+        cache.cellValid = true;
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+        out[s] = levelAt(params_,
+                         phaseAt(time_seconds, cache.stagger[s], tt.period),
+                         cache.jitter[s], tt.diurnal);
+    }
 }
 
 double
@@ -135,7 +175,9 @@ SyntheticWorkload::nextChangeTime(double now_seconds,
     // guard absorbs any last-ulp disagreement.
     double period = params_.highPhaseS + params_.lowPhaseS;
     for (std::size_t s = 0; s < num_servers; ++s) {
-        double phase = phaseAt(params_, seed_, s, now_seconds, period);
+        double phase =
+            phaseAt(now_seconds, staggerOffset(params_, seed_, s, period),
+                    period);
         double edge =
             (phase < params_.highPhaseS ? params_.highPhaseS
                                         : period) -

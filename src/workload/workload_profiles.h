@@ -69,8 +69,8 @@ class SyntheticWorkload : public Workload
     PeakClass peakClass() const override { return params_.peakClass; }
     double utilization(std::size_t server_index,
                        double time_seconds) const override;
-    void utilizations(double time_seconds,
-                      std::span<double> out) const override;
+    void utilizations(double time_seconds, std::span<double> out,
+                      UtilizationCache &cache) const override;
     double nextChangeTime(double now_seconds,
                           std::size_t num_servers) const override;
 

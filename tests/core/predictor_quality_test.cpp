@@ -25,12 +25,9 @@ slotPeaks(const std::string &name, std::size_t slots,
 {
     auto w = makeWorkload(name);
     Cluster cluster(6);
-    for (std::size_t s = 0; s < 6; ++s) {
-        cluster.server(s).setFrequency(
-            w->peakClass() == PeakClass::Small
-                ? Server::Frequency::Low
-                : Server::Frequency::High);
-    }
+    cluster.setFrequency(w->peakClass() == PeakClass::Small
+                             ? Cluster::Frequency::Low
+                             : Cluster::Frequency::High);
     std::vector<double> peaks;
     std::vector<double> util(6, 0.0);
     for (std::size_t slot = 0; slot < slots; ++slot) {
