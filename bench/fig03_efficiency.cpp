@@ -13,7 +13,6 @@
 
 #include "dc/cluster.h"
 #include "esd/battery.h"
-#include "esd/efficiency_meter.h"
 #include "esd/peukert_battery.h"
 #include "esd/supercapacitor.h"
 #include "util/table_printer.h"

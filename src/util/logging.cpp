@@ -7,6 +7,8 @@
 #include <ctime>
 #include <mutex>
 
+#include <pthread.h>
+
 namespace heb {
 
 namespace {
@@ -42,24 +44,46 @@ thresholdStorage()
     return threshold;
 }
 
+/**
+ * The sink lock. It is held across fork(), so a forked child (a death
+ * test) never inherits it locked by a thread that does not exist
+ * there. The logger cannot report its own failure through fatal().
+ */
 std::mutex &
 sinkMutex()
 {
     static std::mutex mu;
+    static const int rc = ::pthread_atfork(
+        [] { mu.lock(); }, [] { mu.unlock(); }, [] { mu.unlock(); });
+    if (rc != 0) {
+        std::fprintf(stderr, "[panic] pthread_atfork failed: error %d\n",
+                     rc);
+        std::abort();
+    }
     return mu;
 }
 
-/** Compose and emit one line as a single serialized write. */
+// Registered at load time, before ThreadPool::global() registers the
+// pool's handler. fork() runs prepare handlers in reverse order, so
+// it takes the pool mutex first and then the sink's: the order in
+// which global() takes them when a new pool warns about HEB_JOBS.
+[[maybe_unused]] const std::mutex &sinkAtLoad = sinkMutex();
+
+/**
+ * Compose and emit one line as a single serialized write. The
+ * timestamp is taken under the sink lock too: gmtime_r takes glibc's
+ * timezone lock, which fork() would otherwise copy held.
+ */
 void
 writeLine(const char *tag, const std::string &message)
 {
+    std::lock_guard<std::mutex> lock(sinkMutex());
     std::string line = isoTimestampUtc();
     line += " [";
     line += tag;
     line += "] ";
     line += message;
     line += '\n';
-    std::lock_guard<std::mutex> lock(sinkMutex());
     std::fwrite(line.data(), 1, line.size(), stderr);
     std::fflush(stderr);
 }
