@@ -183,25 +183,16 @@ std::string
 profileReport()
 {
     std::vector<ProfileEntry> entries = profileSites();
-    double grand_ns = 0.0;
-    for (const ProfileEntry &e : entries)
-        grand_ns += static_cast<double>(e.totalNs);
-
-    TablePrinter table(
-        {"phase", "calls", "total(ms)", "mean(us)", "share(%)"});
+    TablePrinter table({"phase", "calls", "total(ms)", "mean(us)"});
     for (const ProfileEntry &e : entries) {
         double total_ns = static_cast<double>(e.totalNs);
         double calls = static_cast<double>(e.calls);
-        table.addRow(
-            {e.name, std::to_string(e.calls),
-             TablePrinter::num(total_ns / 1e6, 3),
-             TablePrinter::num(total_ns / calls / 1e3, 3),
-             TablePrinter::num(
-                 grand_ns > 0.0 ? 100.0 * total_ns / grand_ns : 0.0,
-                 1)});
+        table.addRow({e.name, std::to_string(e.calls),
+                      TablePrinter::num(total_ns / 1e6, 3),
+                      TablePrinter::num(total_ns / calls / 1e3, 3)});
     }
     if (entries.empty())
-        table.addRow({"(no profiled phases)", "0", "0", "0", "0"});
+        table.addRow({"(no profiled phases)", "0", "0", "0"});
     return table.toString();
 }
 

@@ -170,8 +170,10 @@ std::vector<ProfileSpan> profileSpans();
 std::uint64_t profileSpansDropped();
 
 /**
- * Render the phase-time table (phase, calls, total ms, mean us,
- * share of profiled time) as printable text.
+ * Render the phase-time table (phase, calls, total ms, mean us) as
+ * printable text. Totals are inclusive: a scope's time also counts
+ * in every profiled scope that encloses it, so the rows do not sum
+ * to the run's wall time.
  */
 std::string profileReport();
 

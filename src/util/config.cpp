@@ -3,6 +3,7 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "util/logging.h"
 
@@ -22,6 +23,35 @@ trim(const std::string &s)
 }
 
 } // namespace
+
+template <typename T>
+T
+parseNumber(const std::string &text, const std::string &what)
+{
+    try {
+        std::size_t used = 0;
+        T value;
+        if constexpr (std::is_same_v<T, double>)
+            value = std::stod(text, &used);
+        else if constexpr (std::is_same_v<T, long>)
+            value = std::stol(text, &used);
+        else
+            value = std::stoll(text, &used);
+        if (used == text.size())
+            return value;
+    } catch (const std::exception &) {
+    }
+    fatal(what, std::is_integral_v<T> ? " not integral: "
+                                      : " not numeric: ",
+          text);
+}
+
+template double parseNumber<double>(const std::string &,
+                                    const std::string &);
+template long parseNumber<long>(const std::string &,
+                                const std::string &);
+template long long parseNumber<long long>(const std::string &,
+                                          const std::string &);
 
 Config
 Config::fromFile(const std::string &path)
@@ -87,16 +117,8 @@ Config::getString(const std::string &key,
 double
 Config::getDouble(const std::string &key) const
 {
-    const std::string &v = getString(key);
-    try {
-        std::size_t used = 0;
-        double d = std::stod(v, &used);
-        if (used != v.size())
-            fatal("Config: key '", key, "' not numeric: ", v);
-        return d;
-    } catch (const std::exception &) {
-        fatal("Config: key '", key, "' not numeric: ", v);
-    }
+    return parseNumber<double>(getString(key),
+                               "Config: key '" + key + "'");
 }
 
 double
@@ -108,16 +130,8 @@ Config::getDouble(const std::string &key, double fallback) const
 long
 Config::getInt(const std::string &key) const
 {
-    const std::string &v = getString(key);
-    try {
-        std::size_t used = 0;
-        long i = std::stol(v, &used);
-        if (used != v.size())
-            fatal("Config: key '", key, "' not integral: ", v);
-        return i;
-    } catch (const std::exception &) {
-        fatal("Config: key '", key, "' not integral: ", v);
-    }
+    return parseNumber<long>(getString(key),
+                             "Config: key '" + key + "'");
 }
 
 long

@@ -14,6 +14,15 @@
 
 namespace heb {
 
+/**
+ * Parse all of @p text as a T (double, long or long long); fatal()
+ * naming @p what when any character is left over ("2x", "1h"), there
+ * is no number ("abc") or the value does not fit in T. Config values
+ * and every numeric CLI flag go through here.
+ */
+template <typename T>
+T parseNumber(const std::string &text, const std::string &what);
+
 /** A parsed key=value configuration. */
 class Config
 {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "util/config.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -26,7 +27,7 @@ applySweepCliArgs(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            long n = std::stol(argv[++i]);
+            long n = parseNumber<long>(argv[++i], "--jobs");
             if (n < 1)
                 fatal("--jobs must be >= 1");
             ThreadPool::configureGlobal(

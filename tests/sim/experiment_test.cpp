@@ -138,6 +138,10 @@ TEST(Experiment, ParallelSweepIsBitIdenticalToSerial)
                       b.perWorkload[w].energyEfficiency);
             EXPECT_EQ(a.perWorkload[w].downtimeSeconds,
                       b.perWorkload[w].downtimeSeconds);
+            EXPECT_EQ(a.perWorkload[w].peakUtilityDrawW,
+                      b.perWorkload[w].peakUtilityDrawW);
+            EXPECT_EQ(a.perWorkload[w].ledger.unservedWh,
+                      b.perWorkload[w].ledger.unservedWh);
         }
     }
 }

@@ -366,6 +366,64 @@ TEST(FleetEvent, JobCountDoesNotChangeResults)
     expectAggregatesIdentical(serial, pooled);
 }
 
+/**
+ * The quick calm fleet: 8 racks x 32 servers x 6 h on calm phases
+ * whose highs spread over [0.10, 0.30], banks scaled to the rack,
+ * proportional arbitration and one fault plan (no ATS failures)
+ * shared by every rack. Dense, event and event on two jobs must agree
+ * bit for bit, and the engine's coverage is pinned tick for tick:
+ * the counts are deterministic, so a horizon or probe that stops
+ * engaging fails here rather than in a timing ratio.
+ */
+TEST(FleetEvent, QuickCalmFleetExactAndCovered)
+{
+    constexpr std::size_t kRacks = 8;
+    SimConfig cfg;
+    cfg.numServers = 32;
+    cfg.scEnergyWh *= 32.0 / 6.0;
+    cfg.baEnergyWh *= 32.0 / 6.0;
+    cfg.durationSeconds = 6.0 * 3600.0;
+    cfg.faultInjection = true;
+    cfg.faultPlan.atsFailuresPerDay = 0.0;
+    const double budget = 45.0 * 32.0 * kRacks;
+
+    auto run = [&](FleetMode mode, std::size_t jobs) {
+        ThreadPool::configureGlobal(jobs);
+        std::vector<std::unique_ptr<SyntheticWorkload>> workloads;
+        std::vector<std::unique_ptr<ManagementScheme>> schemes;
+        std::vector<RackSpec> specs;
+        for (std::size_t r = 0; r < kRacks; ++r) {
+            std::string name = "R" + std::to_string(r);
+            workloads.push_back(std::make_unique<SyntheticWorkload>(
+                calmProfile(name.c_str(),
+                            0.10 + 0.05 * static_cast<double>(r % 5)),
+                cfg.seed + r));
+            schemes.push_back(makeScheme(SchemeKind::HebD));
+            specs.push_back(RackSpec{"rack" + std::to_string(r),
+                                     workloads[r].get(),
+                                     schemes[r].get()});
+        }
+        return FleetSimulator(cfg, budget,
+                              FleetOptions{BudgetPolicy::Proportional,
+                                           mode, true})
+            .run(specs);
+    };
+    FleetResult dense = run(FleetMode::Dense, 1);
+    FleetResult event = run(FleetMode::Event, 1);
+    FleetResult pooled = run(FleetMode::Event, 2);
+    ThreadPool::configureGlobal(0);
+
+    ASSERT_EQ(dense.racks.size(), kRacks);
+    EXPECT_EQ(fleetJson(dense), fleetJson(event));
+    expectAggregatesIdentical(dense, event);
+    EXPECT_EQ(fleetResultToJson(event), fleetResultToJson(pooled));
+
+    EXPECT_EQ(dense.denseTicks, 21600ul);
+    EXPECT_EQ(event.macroSpans, 41ul);
+    EXPECT_EQ(event.macroSpanTicks, 21559ul);
+    EXPECT_EQ(event.denseTicks, 41ul);
+}
+
 TEST(FleetEvent, DroppedPerRackResultsKeepAggregates)
 {
     const double budget = 3.0 * 260.0;

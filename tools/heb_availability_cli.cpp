@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "sim/experiment.h"
+#include "util/config.h"
 #include "util/logging.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -98,14 +99,19 @@ main(int argc, char **argv)
                 fatal(flag, " requires a value");
             return argv[++i];
         };
+        auto need_long = [&](const char *flag) {
+            return parseNumber<long>(need_value(flag), flag);
+        };
+        auto need_double = [&](const char *flag) {
+            return parseNumber<double>(need_value(flag), flag);
+        };
         if (!std::strcmp(argv[i], "--scenarios")) {
-            long n = std::stol(need_value("--scenarios"));
+            long n = need_long("--scenarios");
             if (n < 1)
                 fatal("--scenarios must be >= 1");
             scenarios = static_cast<std::size_t>(n);
         } else if (!std::strcmp(argv[i], "--duration-hours")) {
-            duration_hours =
-                std::stod(need_value("--duration-hours"));
+            duration_hours = need_double("--duration-hours");
             if (duration_hours <= 0.0)
                 fatal("--duration-hours must be positive");
         } else if (!std::strcmp(argv[i], "--workload"))
@@ -113,8 +119,8 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--schemes"))
             schemes = parseSchemeList(need_value("--schemes"));
         else if (!std::strcmp(argv[i], "--seed"))
-            seed = static_cast<std::uint64_t>(
-                std::stoll(need_value("--seed")));
+            seed = static_cast<std::uint64_t>(parseNumber<long long>(
+                need_value("--seed"), "--seed"));
         else if (!std::strcmp(argv[i], "--out"))
             out_path = need_value("--out");
         else if (!std::strcmp(argv[i], "--no-degradation"))
@@ -126,7 +132,7 @@ main(int argc, char **argv)
             fast_forward = v == "on";
         }
         else if (!std::strcmp(argv[i], "--jobs")) {
-            long n = std::stol(need_value("--jobs"));
+            long n = need_long("--jobs");
             if (n < 1)
                 fatal("--jobs must be >= 1");
             ThreadPool::configureGlobal(

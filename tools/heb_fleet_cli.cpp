@@ -69,6 +69,7 @@
 #include "sim/plan_cache.h"
 #include "sim/result_io.h"
 #include "util/atomic_file.h"
+#include "util/config.h"
 #include "util/logging.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -211,8 +212,14 @@ main(int argc, char **argv)
                 fatal(flag, " requires a value");
             return argv[++i];
         };
+        auto need_long = [&](const char *flag) {
+            return parseNumber<long>(need_value(flag), flag);
+        };
+        auto need_double = [&](const char *flag) {
+            return parseNumber<double>(need_value(flag), flag);
+        };
         if (!std::strcmp(argv[i], "--racks")) {
-            long n = std::stol(need_value("--racks"));
+            long n = need_long("--racks");
             if (n < 1)
                 fatal("--racks must be >= 1");
             racks = static_cast<std::size_t>(n);
@@ -221,17 +228,17 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--scheme"))
             scheme_name = need_value("--scheme");
         else if (!std::strcmp(argv[i], "--servers")) {
-            long n = std::stol(need_value("--servers"));
+            long n = need_long("--servers");
             if (n < 1)
                 fatal("--servers must be >= 1");
             servers = static_cast<std::size_t>(n);
         } else if (!std::strcmp(argv[i], "--hours")) {
-            hours = std::stod(need_value("--hours"));
+            hours = need_double("--hours");
             if (!std::isfinite(hours) || hours <= 0.0)
                 fatal("--hours must be finite and positive (got ", hours,
                       ")");
         } else if (!std::strcmp(argv[i], "--budget-w")) {
-            budget_w = std::stod(need_value("--budget-w"));
+            budget_w = need_double("--budget-w");
             if (!std::isfinite(budget_w) || budget_w <= 0.0)
                 fatal("--budget-w must be finite and positive (got ",
                       budget_w, ")");
@@ -252,7 +259,7 @@ main(int argc, char **argv)
             else
                 fatal("--fleet-mode expects dense or event");
         } else if (!std::strcmp(argv[i], "--jobs")) {
-            long n = std::stol(need_value("--jobs"));
+            long n = need_long("--jobs");
             if (n < 1)
                 fatal("--jobs must be >= 1");
             ThreadPool::configureGlobal(
@@ -266,7 +273,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--prom-out"))
             prom_path = need_value("--prom-out");
         else if (!std::strcmp(argv[i], "--metrics-listen")) {
-            listen_port = std::stol(need_value("--metrics-listen"));
+            listen_port = need_long("--metrics-listen");
             if (listen_port < 0 || listen_port > 65535)
                 fatal("--metrics-listen expects a port (0-65535)");
             listen = true;
@@ -275,14 +282,14 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--trace-chrome"))
             chrome_path = need_value("--trace-chrome");
         else if (!std::strcmp(argv[i], "--trace-stride")) {
-            long n = std::stol(need_value("--trace-stride"));
+            long n = need_long("--trace-stride");
             if (n < 1)
                 fatal("--trace-stride must be >= 1");
             trace_stride = static_cast<std::size_t>(n);
         } else if (!std::strcmp(argv[i], "--health-out"))
             health_path = need_value("--health-out");
         else if (!std::strcmp(argv[i], "--health-stride")) {
-            health_stride = std::stod(need_value("--health-stride"));
+            health_stride = need_double("--health-stride");
             if (health_stride <= 0.0)
                 fatal("--health-stride must be positive");
         } else if (!std::strcmp(argv[i], "--watch"))
@@ -294,8 +301,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--decorrelate-racks"))
             decorrelate_racks = true;
         else if (!std::strcmp(argv[i], "--checkpoint-every"))
-            ckpt.everySimSeconds =
-                std::stod(need_value("--checkpoint-every"));
+            ckpt.everySimSeconds = need_double("--checkpoint-every");
         else if (!std::strcmp(argv[i], "--checkpoint-dir"))
             ckpt.dir = need_value("--checkpoint-dir");
         else if (!std::strcmp(argv[i], "--resume"))

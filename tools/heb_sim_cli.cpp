@@ -49,6 +49,7 @@
 #include "util/atomic_file.h"
 #include "sim/experiment.h"
 #include "sim/result_io.h"
+#include "util/config.h"
 #include "util/logging.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -137,6 +138,12 @@ main(int argc, char **argv)
                 fatal(flag, " requires a value");
             return argv[++i];
         };
+        auto need_long = [&](const char *flag) {
+            return parseNumber<long>(need_value(flag), flag);
+        };
+        auto need_double = [&](const char *flag) {
+            return parseNumber<double>(need_value(flag), flag);
+        };
         if (!std::strcmp(argv[i], "--config"))
             config_path = need_value("--config");
         else if (!std::strcmp(argv[i], "--workload"))
@@ -152,7 +159,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--trace-chrome"))
             chrome_path = need_value("--trace-chrome");
         else if (!std::strcmp(argv[i], "--trace-stride")) {
-            long n = std::stol(need_value("--trace-stride"));
+            long n = need_long("--trace-stride");
             if (n < 1)
                 fatal("--trace-stride must be >= 1");
             trace_stride = static_cast<std::size_t>(n);
@@ -172,8 +179,7 @@ main(int argc, char **argv)
             fast_forward_set = true;
         }
         else if (!std::strcmp(argv[i], "--checkpoint-every"))
-            ckpt.everySimSeconds =
-                std::stod(need_value("--checkpoint-every"));
+            ckpt.everySimSeconds = need_double("--checkpoint-every");
         else if (!std::strcmp(argv[i], "--checkpoint-dir"))
             ckpt.dir = need_value("--checkpoint-dir");
         else if (!std::strcmp(argv[i], "--resume"))
@@ -181,7 +187,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--result-json"))
             result_json_path = need_value("--result-json");
         else if (!std::strcmp(argv[i], "--jobs")) {
-            long n = std::stol(need_value("--jobs"));
+            long n = need_long("--jobs");
             if (n < 1)
                 fatal("--jobs must be >= 1");
             ThreadPool::configureGlobal(
