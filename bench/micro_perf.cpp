@@ -271,6 +271,21 @@ BM_ThreadPoolMapOverhead(benchmark::State &state)
 }
 BENCHMARK(BM_ThreadPoolMapOverhead);
 
+// One fleet-tick hand-off: a 16-index batch of empty tasks on a
+// 2-lane pool, the shape of fleet_table1's per-tick fan-out. The
+// tasks do nothing, so this is the batch's fixed cost alone.
+void
+BM_PoolForEachIndexHandoff(benchmark::State &state)
+{
+    ThreadPool pool(2);
+    for (auto _ : state)
+        pool.forEachIndex(16, [](std::size_t i) {
+            benchmark::DoNotOptimize(i);
+        });
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolForEachIndexHandoff);
+
 // A pool map of real simulation work: eight two-hour runs, the shape
 // of one sweep row. Compare items_per_second against a 1-job pool to
 // read the machine's usable sweep speedup.

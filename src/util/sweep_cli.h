@@ -11,7 +11,6 @@
 #include <cstring>
 #include <string>
 
-#include "util/config.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -27,11 +26,8 @@ applySweepCliArgs(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            long n = parseNumber<long>(argv[++i], "--jobs");
-            if (n < 1)
-                fatal("--jobs must be >= 1");
             ThreadPool::configureGlobal(
-                static_cast<std::size_t>(n));
+                ThreadPool::parseJobs(argv[++i], "--jobs"));
         } else {
             fatal("unknown argument '", argv[i],
                   "' (supported: --jobs N)");

@@ -259,11 +259,8 @@ main(int argc, char **argv)
             else
                 fatal("--fleet-mode expects dense or event");
         } else if (!std::strcmp(argv[i], "--jobs")) {
-            long n = need_long("--jobs");
-            if (n < 1)
-                fatal("--jobs must be >= 1");
-            ThreadPool::configureGlobal(
-                static_cast<std::size_t>(n));
+            ThreadPool::configureGlobal(ThreadPool::parseJobs(
+                need_value("--jobs"), "--jobs"));
         } else if (!std::strcmp(argv[i], "--slim"))
             slim = true;
         else if (!std::strcmp(argv[i], "--out"))

@@ -187,11 +187,8 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--result-json"))
             result_json_path = need_value("--result-json");
         else if (!std::strcmp(argv[i], "--jobs")) {
-            long n = need_long("--jobs");
-            if (n < 1)
-                fatal("--jobs must be >= 1");
-            ThreadPool::configureGlobal(
-                static_cast<std::size_t>(n));
+            ThreadPool::configureGlobal(ThreadPool::parseJobs(
+                need_value("--jobs"), "--jobs"));
         } else if (!std::strcmp(argv[i], "--log-level"))
             setLogThreshold(parseLogLevel(need_value("--log-level")));
         else if (!std::strcmp(argv[i], "--help") ||
