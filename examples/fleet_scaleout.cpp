@@ -40,7 +40,7 @@ runPolicy(BudgetPolicy policy, double budget)
                                  schemes.back().get()});
     }
 
-    FleetSimulator fleet(cfg, budget, policy);
+    FleetSimulator fleet(cfg, budget, FleetOptions{policy});
     FleetResult r = fleet.run(specs);
 
     std::printf("--- %s arbitration ---\n",

@@ -270,14 +270,6 @@ FleetSimulator::FleetSimulator(SimConfig rack_config,
         fatal("FleetSimulator: facility budget must be positive");
 }
 
-FleetSimulator::FleetSimulator(SimConfig rack_config,
-                               double facility_budget,
-                               BudgetPolicy policy)
-    : FleetSimulator(std::move(rack_config), facility_budget,
-                     FleetOptions{policy, FleetMode::Dense, true})
-{
-}
-
 void
 FleetSimulator::arbitrate(const std::vector<double> &need,
                           double supply_w,

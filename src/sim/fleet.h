@@ -20,9 +20,9 @@
  *
  * Two execution engines share those policies:
  *
- *  - Dense: every rack, every tick — the byte-identity witness.
- *  - Event: when every rack is quiescent, the fleet advances all of
- *    them through one shared macro-tick under frozen allocations.
+ *  - Event (the default): when every rack is quiescent, the fleet
+ *    advances all of them through one shared macro-tick under
+ *    frozen allocations.
  *    The span ends at the fleet horizon — the min over every rack's
  *    nextEventHorizon(), which by construction is also the next
  *    *arbitration* event: allocations only move when some rack's
@@ -31,6 +31,9 @@
  *    recompute bitwise-identical allocations every tick, so freezing
  *    them is exact, and per-rack results match the dense engine at
  *    %.17g.
+ *  - Dense: every rack, every tick — the oracle that
+ *    tests/sim/differential_test.cpp compares the event engine
+ *    against, and `heb_fleet --fleet-mode dense`.
  *
  * Per-tick computeDemand/tick fan-out is sharded across the shared
  * ThreadPool (ThreadPool::forEachIndex into buffers the run owns),
@@ -90,7 +93,7 @@ struct FleetOptions
     BudgetPolicy policy = BudgetPolicy::Static;
 
     /** Execution engine. */
-    FleetMode mode = FleetMode::Dense;
+    FleetMode mode = FleetMode::Event;
 
     /**
      * Keep the per-rack SimResults in FleetResult::racks. Fleet-scale
@@ -229,10 +232,6 @@ class FleetSimulator
      */
     FleetSimulator(SimConfig rack_config, double facility_budget,
                    FleetOptions options);
-
-    /** Convenience: dense engine, per-rack results kept. */
-    FleetSimulator(SimConfig rack_config, double facility_budget,
-                   BudgetPolicy policy);
 
     /**
      * Run the fleet for the configured duration. A solarPowered

@@ -1,6 +1,5 @@
 #include "sim/pat_cache.h"
 
-#include "obs/metrics.h"
 #include "sim/experiment.h"
 
 namespace heb {
@@ -33,72 +32,36 @@ std::shared_ptr<const PowerAllocationTable>
 SeededPatCache::get(const SimConfig &config,
                     const HebSchemeConfig &scheme_cfg)
 {
-    PatSeedKey key = patSeedKey(config, scheme_cfg);
-
-    std::promise<std::shared_ptr<const PowerAllocationTable>> promise;
-    Entry pending;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            ++hits_;
-            obs::MetricsRegistry::global()
-                .counter("sim.pat_cache_hits_total")
-                .inc();
-            pending = it->second;
-        } else {
-            ++misses_;
-            obs::MetricsRegistry::global()
-                .counter("sim.pat_cache_misses_total")
-                .inc();
-            pending = promise.get_future().share();
-            entries_.emplace(key, pending);
-            builder = true;
-        }
-    }
-
-    if (!builder) {
-        // Someone else is (or was) the builder; wait for the table.
-        return pending.get();
-    }
-
-    // We inserted the entry: seed outside the lock so other keys
-    // keep building in parallel, then publish.
-    auto table = std::make_shared<const PowerAllocationTable>(
-        buildSeededPat(config, scheme_cfg));
-    promise.set_value(table);
-    return table;
+    // Seeding runs outside the lock, so other layouts keep building
+    // in parallel.
+    return entries_.get(patSeedKey(config, scheme_cfg), [&] {
+        return std::make_shared<const PowerAllocationTable>(
+            buildSeededPat(config, scheme_cfg));
+    });
 }
 
 std::size_t
 SeededPatCache::hits() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
+    return entries_.hits();
 }
 
 std::size_t
 SeededPatCache::misses() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
+    return entries_.misses();
 }
 
 std::size_t
 SeededPatCache::size() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return entries_.size();
 }
 
 void
 SeededPatCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
-    hits_ = 0;
-    misses_ = 0;
 }
 
 } // namespace heb

@@ -22,13 +22,11 @@
 
 #include <compare>
 #include <cstddef>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 
 #include "core/pat.h"
 #include "core/schemes.h"
+#include "sim/build_once.h"
 #include "sim/sim_config.h"
 
 namespace heb {
@@ -90,13 +88,8 @@ class SeededPatCache
     SeededPatCache &operator=(const SeededPatCache &) = delete;
 
   private:
-    using Entry =
-        std::shared_future<std::shared_ptr<const PowerAllocationTable>>;
-
-    mutable std::mutex mu_;
-    std::map<PatSeedKey, Entry> entries_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
+    BuildOnce<PatSeedKey, std::shared_ptr<const PowerAllocationTable>>
+        entries_{"sim.pat_cache"};
 };
 
 } // namespace heb

@@ -1,55 +1,6 @@
 #include "sim/plan_cache.h"
 
-#include "obs/metrics.h"
-
 namespace heb {
-
-namespace {
-
-/**
- * Build-once lookup shared by both plan maps: a hit returns the
- * published future, a miss installs a pending entry under the lock
- * and builds outside it so unrelated keys construct in parallel.
- * Duplicate concurrent misses block on the first builder's future.
- */
-template <class Map, class Key, class Build>
-auto
-getOrBuild(std::mutex &mu, Map &map, const Key &key,
-           std::size_t &hits, std::size_t &misses, Build &&build)
-{
-    using Plan = decltype(build());
-    std::promise<Plan> promise;
-    typename Map::mapped_type pending;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = map.find(key);
-        if (it != map.end()) {
-            ++hits;
-            obs::MetricsRegistry::global()
-                .counter("sim.plan_cache_hits_total")
-                .inc();
-            pending = it->second;
-        } else {
-            ++misses;
-            obs::MetricsRegistry::global()
-                .counter("sim.plan_cache_misses_total")
-                .inc();
-            pending = promise.get_future().share();
-            map.emplace(key, pending);
-            builder = true;
-        }
-    }
-
-    if (!builder)
-        return pending.get();
-
-    Plan plan = build();
-    promise.set_value(plan);
-    return plan;
-}
-
-} // namespace
 
 SolarTraceKey
 solarTraceKey(const SolarParams &params, double duration_seconds,
@@ -82,12 +33,10 @@ std::shared_ptr<const SyntheticWorkload>
 SharedPlanCache::workload(const std::string &abbreviation,
                           std::uint64_t seed)
 {
-    WorkloadPlanKey key{abbreviation, seed};
-    return getOrBuild(
-        mu_, workloads_, key, hits_, misses_, [&] {
-            return std::shared_ptr<const SyntheticWorkload>(
-                makeWorkload(abbreviation, seed));
-        });
+    return workloads_.get(WorkloadPlanKey{abbreviation, seed}, [&] {
+        return std::shared_ptr<const SyntheticWorkload>(
+            makeWorkload(abbreviation, seed));
+    });
 }
 
 std::shared_ptr<const TimeSeries>
@@ -97,43 +46,35 @@ SharedPlanCache::solarTrace(const SolarParams &params,
 {
     SolarTraceKey key = solarTraceKey(params, duration_seconds,
                                       step_seconds, seed);
-    return getOrBuild(
-        mu_, solar_, key, hits_, misses_, [&] {
-            return std::make_shared<const TimeSeries>(
-                generateSolarTrace(params, duration_seconds,
-                                   step_seconds, seed));
-        });
+    return solar_.get(key, [&] {
+        return std::make_shared<const TimeSeries>(generateSolarTrace(
+            params, duration_seconds, step_seconds, seed));
+    });
 }
 
 std::size_t
 SharedPlanCache::hits() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
+    return workloads_.hits() + solar_.hits();
 }
 
 std::size_t
 SharedPlanCache::misses() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
+    return workloads_.misses() + solar_.misses();
 }
 
 std::size_t
 SharedPlanCache::size() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return workloads_.size() + solar_.size();
 }
 
 void
 SharedPlanCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     workloads_.clear();
     solar_.clear();
-    hits_ = 0;
-    misses_ = 0;
 }
 
 } // namespace heb

@@ -8,8 +8,8 @@
  * pure functions of (configuration, seed), so same-config racks got
  * n bit-identical copies. PR 5/6 already shares the FaultPlan this
  * way; this cache extends the idiom to the remaining immutable
- * plans. Entries are built once per key (concurrent misses block on
- * the first builder's future, exactly like SeededPatCache) and
+ * plans. Entries are built once per key (sim/build_once.h, shared
+ * with SeededPatCache) and
  * handed out as shared_ptr-to-const, so racks ticking in parallel
  * can read one plan without copies or races.
  */
@@ -17,13 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "power/solar_array.h"
+#include "sim/build_once.h"
 #include "util/time_series.h"
 #include "workload/workload_profiles.h"
 
@@ -107,16 +105,10 @@ class SharedPlanCache
     SharedPlanCache &operator=(const SharedPlanCache &) = delete;
 
   private:
-    using WorkloadEntry =
-        std::shared_future<std::shared_ptr<const SyntheticWorkload>>;
-    using SolarEntry =
-        std::shared_future<std::shared_ptr<const TimeSeries>>;
-
-    mutable std::mutex mu_;
-    std::map<WorkloadPlanKey, WorkloadEntry> workloads_;
-    std::map<SolarTraceKey, SolarEntry> solar_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
+    BuildOnce<WorkloadPlanKey, std::shared_ptr<const SyntheticWorkload>>
+        workloads_{"sim.plan_cache"};
+    BuildOnce<SolarTraceKey, std::shared_ptr<const TimeSeries>> solar_{
+        "sim.plan_cache"};
 };
 
 } // namespace heb

@@ -75,6 +75,9 @@ RackDomain::RackDomain(const SimConfig &config,
                        const fault::FaultPlan *shared_plan)
     : config_(config), workload_(workload), name_(std::move(name)),
       hybrid_(scheme.usesHybridBuffers()),
+      nominalFrequency_(workload.peakClass() == PeakClass::Small
+                            ? Cluster::Frequency::Low
+                            : Cluster::Frequency::High),
       scBank_(buildScBank(config, hybrid_)),
       baBank_(buildBaBank(config, hybrid_)),
       cluster_(config.numServers, config.serverParams),
@@ -90,9 +93,7 @@ RackDomain::RackDomain(const SimConfig &config,
       baSocSeries_(config.slotSeconds),
       rLambdaSeries_(config.slotSeconds)
 {
-    cluster_.setFrequency(workload_.peakClass() == PeakClass::Small
-                              ? Cluster::Frequency::Low
-                              : Cluster::Frequency::High);
+    cluster_.setFrequency(nominalFrequency_);
     if (config_.sensorNoiseSigma > 0.0) {
         controller_.setSensorNoise(config_.sensorNoiseSigma,
                                    config_.seed ^ 0x5eb5eb5eULL);
@@ -183,6 +184,26 @@ RackDomain::offlineServers() const
 }
 
 double
+RackDomain::softCapW(double supply_w) const
+{
+    // Demand-charge management: an *economic* soft cap below the
+    // physical budget (paper §7.6).
+    if (config_.peakShavingTargetW > 0.0)
+        return std::min(supply_w, config_.peakShavingTargetW);
+    return supply_w;
+}
+
+std::size_t
+RackDomain::plannedShed(const SlotPlan &plan) const
+{
+    return std::min(
+        config_.numServers,
+        static_cast<std::size_t>(std::ceil(
+            plan.shedFraction * static_cast<double>(config_.numServers) -
+            1e-9)));
+}
+
+double
 RackDomain::computeDemand(double now_seconds)
 {
     HEB_PROF_SCOPE("dc.demand");
@@ -224,14 +245,10 @@ RackDomain::tick(double now_seconds, double supply_w)
 
     // Optional DVFS capping before touching buffers (paper §1).
     if (config_.dvfsCapping) {
-        Cluster::Frequency nominal =
-            workload_.peakClass() == PeakClass::Small
-                ? Cluster::Frequency::Low
-                : Cluster::Frequency::High;
-        bool throttled =
-            demand > supply_w && nominal == Cluster::Frequency::High;
+        bool throttled = demand > supply_w &&
+                         nominalFrequency_ == Cluster::Frequency::High;
         cluster_.setFrequency(throttled ? Cluster::Frequency::Low
-                                        : nominal);
+                                        : nominalFrequency_);
         if (throttled) {
             demand = cluster_.totalPowerW(util_, now);
             perfDegradation_ +=
@@ -251,12 +268,7 @@ RackDomain::tick(double now_seconds, double supply_w)
     // taking servers offline *deliberately* before dispatch, so the
     // survivors ride through instead of the whole branch browning
     // out.
-    plannedOffline_ = std::min(
-        config_.numServers,
-        static_cast<std::size_t>(std::ceil(
-            plan.shedFraction *
-                static_cast<double>(config_.numServers) -
-            1e-9)));
+    plannedOffline_ = plannedShed(plan);
     if (plannedOffline_ > offlineServers()) {
         std::size_t to_shed = plannedOffline_ - offlineServers();
         cluster_.shutdownLru(to_shed, now);
@@ -290,13 +302,10 @@ RackDomain::tick(double now_seconds, double supply_w)
     double sc_w = 0.0;
     double ba_w = 0.0;
 
-    // Demand-charge management: an *economic* soft cap below the
-    // physical budget. The buffers shave draw above it; anything
-    // they cannot cover backfills from the real budget instead of
+    // The buffers shave draw above the soft cap; anything they
+    // cannot cover backfills from the real budget instead of
     // shedding servers (availability beats tariff savings).
-    double soft_cap = supply_w;
-    if (config_.peakShavingTargetW > 0.0)
-        soft_cap = std::min(supply_w, config_.peakShavingTargetW);
+    const double soft_cap = softCapW(supply_w);
 
     // A tripped buffer-path converter takes the banks out of the
     // circuit entirely: no discharge, no charge, until it restarts.
@@ -518,12 +527,9 @@ RackDomain::fastForwardCheck(std::size_t n_ticks, double supply_w)
     // of what that tick will do itself).
     if (cluster_.onlineCount() != config_.numServers)
         return false;
-    const Cluster::Frequency nominal =
-        workload_.peakClass() == PeakClass::Small
-            ? Cluster::Frequency::Low
-            : Cluster::Frequency::High;
     for (std::size_t s = 0; s < config_.numServers; ++s) {
-        if (!cluster_.isUp(s, t1) || cluster_.frequency(s) != nominal)
+        if (!cluster_.isUp(s, t1) ||
+            cluster_.frequency(s) != nominalFrequency_)
             return false;
     }
     // A jitter window advances the telemetry RNG every tick; the
@@ -540,10 +546,7 @@ RackDomain::fastForwardCheck(std::size_t n_ticks, double supply_w)
     }
 
     double demand = computeDemand(t1);
-    double soft_cap = supply_w;
-    if (config_.peakShavingTargetW > 0.0)
-        soft_cap = std::min(supply_w, config_.peakShavingTargetW);
-    if (demand > soft_cap)
+    if (demand > softCapW(supply_w))
         return false;
 
     double measured = injector_
@@ -551,13 +554,7 @@ RackDomain::fastForwardCheck(std::size_t n_ticks, double supply_w)
                           : demand;
     const SlotPlan &plan =
         controller_.tick(t1, measured, supply_w);
-    std::size_t planned = std::min(
-        config_.numServers,
-        static_cast<std::size_t>(std::ceil(
-            plan.shedFraction *
-                static_cast<double>(config_.numServers) -
-            1e-9)));
-    if (planned != 0)
+    if (plannedShed(plan) != 0)
         return false;
 
     // Endpoint guard: the workload promised bitwise constancy up to
@@ -590,9 +587,6 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
     const double t_last =
         static_cast<double>(tickIndex_ + n - 1) * dt;
     const double demand = cachedDemand_;
-    double soft_cap = supply_w;
-    if (config_.peakShavingTargetW > 0.0)
-        soft_cap = std::min(supply_w, config_.peakShavingTargetW);
 
     // ---- Quiescent kernel ---------------------------------------
     // One relay command replicates n same-feed commands (later ones
@@ -601,7 +595,7 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
         switches_[s].command(SwitchFeed::Utility);
 
     const bool buffer_up = topology_.bufferStageAvailable(t1);
-    const double surplus = soft_cap - demand;
+    const double surplus = softCapW(supply_w) - demand;
     const double eff_c = topology_.chargePathEfficiency(surplus);
 
     DomainMetrics *metrics =
@@ -622,29 +616,11 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
         // macro call.
         scBank_->advanceQuiescent(n, dt);
         baBank_->advanceQuiescent(n, dt);
-        for (std::size_t j = 0; j < n; ++j) {
-            ledger_.sourceToLoadWh += demand * dt_h;
-            double source_draw = demand;
-            peakDrawW_ = std::max(peakDrawW_, source_draw);
-            if (config_.recordSeries) {
-                demandSeries_.append(demand);
-                supplySeries_.append(supply_w);
-                unservedSeries_.append(0.0);
-            }
-            if (metrics) {
-                metrics->ticks.inc();
-                metrics->unservedWh.add(0.0);
-                metrics->demandW.record(demand);
-                metrics->sourceDrawW.record(source_draw);
-            }
-            draws[j] = source_draw;
-            interval_source_wh += source_draw * dt_h;
-        }
-    } else {
-        for (std::size_t j = 0; j < n; ++j) {
-            ledger_.sourceToLoadWh += demand * dt_h;
-            double source_draw = demand;
-
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+        ledger_.sourceToLoadWh += demand * dt_h;
+        double source_draw = demand;
+        if (!banks_idle) {
             // Charge taper varies tick to tick, so dispatch stays
             // per-tick — it is the whole macro-tick body.
             ChargeResult charged;
@@ -664,24 +640,24 @@ RackDomain::fastForwardCommit(std::size_t n_ticks, double supply_w,
             ledger_.chargeConversionLossWh +=
                 charge_draw * (1.0 - eff_c) * dt_h;
             source_draw += charge_draw;
-
-            peakDrawW_ = std::max(peakDrawW_, source_draw);
-            if (config_.recordSeries) {
-                demandSeries_.append(demand);
-                supplySeries_.append(supply_w);
-                unservedSeries_.append(0.0);
-            }
-            if (metrics) {
-                metrics->ticks.inc();
-                metrics->unservedWh.add(0.0);
-                metrics->demandW.record(demand);
-                metrics->sourceDrawW.record(source_draw);
-            }
-            draws[j] = source_draw;
-            interval_source_wh += source_draw * dt_h;
             interval_sc_wh += charged.scPowerW * dt_h;
             interval_ba_wh += charged.baPowerW * dt_h;
         }
+
+        peakDrawW_ = std::max(peakDrawW_, source_draw);
+        if (config_.recordSeries) {
+            demandSeries_.append(demand);
+            supplySeries_.append(supply_w);
+            unservedSeries_.append(0.0);
+        }
+        if (metrics) {
+            metrics->ticks.inc();
+            metrics->unservedWh.add(0.0);
+            metrics->demandW.record(demand);
+            metrics->sourceDrawW.record(source_draw);
+        }
+        draws[j] = source_draw;
+        interval_source_wh += source_draw * dt_h;
     }
 
     // LRU bookkeeping: the last activity record wins, so one demand

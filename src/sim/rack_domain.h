@@ -211,10 +211,19 @@ class RackDomain
     void applyFaultEvent(const fault::FaultEvent &event,
                          double now_seconds);
 
+    /** Draw the tick may take from @p supply_w: the peak-shaving
+     *  target when one is set and lower. */
+    double softCapW(double supply_w) const;
+
+    /** Servers @p plan asks to shed deliberately. */
+    std::size_t plannedShed(const SlotPlan &plan) const;
+
     SimConfig config_;
     const Workload &workload_;
     std::string name_;
     bool hybrid_;
+    /** DVFS level of the workload's peak class, outside capping. */
+    Cluster::Frequency nominalFrequency_;
 
     std::unique_ptr<EsdPool> scBank_;
     std::unique_ptr<EsdPool> baBank_;

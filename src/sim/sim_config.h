@@ -127,19 +127,6 @@ struct SimConfig
      */
     bool recordSeries = true;
 
-    /**
-     * Event-horizon fast-forward: when the interval to the next
-     * interesting event (workload change-point, outage edge, fault
-     * edge, slot boundary, converter restart) is quiescent — supply
-     * covers demand, every server up at nominal frequency, no
-     * discharge in flight — advance it in one macro-tick instead of
-     * dense 1 s ticking. Results are bit-identical to the dense
-     * path by construction (the macro-tick performs the same FP
-     * operations on all state that reaches SimResult); dense ticking
-     * remains the fallback everywhere the predicate fails.
-     */
-    bool fastForward = true;
-
     // --- Fault injection / graceful degradation -------------------
 
     /**

@@ -24,10 +24,7 @@ Simulator::run(const Workload &workload, ManagementScheme &scheme,
                const CheckpointOptions &ckpt)
 {
     HEB_PROF_SCOPE("sim.run");
-    FleetOptions options;
-    options.mode =
-        config_.fastForward ? FleetMode::Event : FleetMode::Dense;
-    FleetSimulator fleet(config_, config_.budgetW, options);
+    FleetSimulator fleet(config_, config_.budgetW, FleetOptions{});
     FleetResult result =
         fleet.run({RackSpec{"rack0", &workload, &scheme}}, ckpt);
     obs::MetricsRegistry::global().counter("sim.runs_total").inc();

@@ -9,10 +9,9 @@
  * the SC and battery banks. A tick is one power sample (1 s); a slot
  * is one control interval (10 min).
  *
- * A run is a one-rack FleetSimulator run (Static policy; the event
- * engine when SimConfig::fastForward is set), so the single rack and
- * the fleet share one run loop, one supply model and one checkpoint
- * format.
+ * A run is a one-rack FleetSimulator run (Static policy, event
+ * engine), so the single rack and the fleet share one run loop, one
+ * supply model and one checkpoint format.
  */
 
 #pragma once

@@ -91,6 +91,16 @@ Config::fromString(const std::string &text)
     return cfg;
 }
 
+std::vector<std::string>
+Config::keys() const
+{
+    std::vector<std::string> out;
+    out.reserve(values_.size());
+    for (const auto &[key, value] : values_)
+        out.push_back(key);
+    return out;
+}
+
 bool
 Config::has(const std::string &key) const
 {

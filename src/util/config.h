@@ -11,6 +11,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 namespace heb {
 
@@ -69,6 +70,9 @@ class Config
 
     /** Number of keys. */
     std::size_t size() const { return values_.size(); }
+
+    /** Every key, in sorted order. */
+    std::vector<std::string> keys() const;
 
   private:
     std::map<std::string, std::string> values_;

@@ -17,6 +17,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/experiment.h"
+#include "sim/fleet.h"
+#include "sim/plan_cache.h"
 #include "test_paths.h"
 
 namespace heb {
@@ -190,8 +192,11 @@ TEST(GoldenTrace, TickStrideThinsTickEventsOnly)
     SimConfig cfg;
     cfg.durationSeconds = 600.0;
     // Pin dense ticking: this test is about the per-tick stride.
-    cfg.fastForward = false;
-    runOne(cfg, "TS", SchemeKind::HebD);
+    auto workload = SharedPlanCache::global().workload("TS", cfg.seed);
+    auto scheme = makeScheme(SchemeKind::HebD);
+    FleetSimulator(cfg, cfg.budgetW,
+                   FleetOptions{BudgetPolicy::Static, FleetMode::Dense})
+        .run({RackSpec{"rack0", workload.get(), scheme.get()}});
 
     setActiveTrace(nullptr);
     setTelemetryLevel(TelemetryLevel::Off);

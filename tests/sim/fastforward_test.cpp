@@ -1,151 +1,20 @@
 /**
  * @file
- * Fast-forward equivalence: the event-horizon macro-tick engine must
- * be an invisible optimization. Every scenario here runs twice —
- * dense 1 s ticking and fast-forward — and the two SimResults must
- * serialize to byte-identical JSON under the round-trip-exact
- * (%.17g) witness, i.e. agree to the last ulp of every tick sample.
+ * One-rack event-engine pins: the macro-span coverage of the
+ * outage-sparse grid, tick for tick, and the trailing partial tick.
+ * Dense ≡ event equivalence itself is differential_test.cpp's.
  */
-
-#include <memory>
-#include <string>
 
 #include <gtest/gtest.h>
 
-#include "obs/trace.h"
 #include "core/schemes.h"
 #include "sim/experiment.h"
 #include "sim/fleet.h"
-#include "sim/simulator.h"
 #include "workload/workload_profiles.h"
+#include "calm_fleet.h"
 
 namespace heb {
 namespace {
-
-/** Run (workload, scheme) under @p cfg with fastForward = @p ff. */
-std::string
-runMode(SimConfig cfg, const std::string &workload, SchemeKind kind,
-        bool ff)
-{
-    cfg.fastForward = ff;
-    return simResultToJson(runOne(cfg, workload, kind));
-}
-
-/** A 6 h scenario with outages and fault injection. */
-SimConfig
-stressConfig()
-{
-    SimConfig cfg;
-    cfg.durationSeconds = 6.0 * 3600.0;
-    cfg.outages = {{2.0 * 3600.0, 300.0}, {4.0 * 3600.0, 90.0}};
-    cfg.faultInjection = true;
-    return cfg;
-}
-
-TEST(FastForward, BaOnlyEquivalentUnderFaults)
-{
-    SimConfig cfg = stressConfig();
-    EXPECT_EQ(runMode(cfg, "WC", SchemeKind::BaOnly, false),
-              runMode(cfg, "WC", SchemeKind::BaOnly, true));
-}
-
-TEST(FastForward, ScFirstEquivalentUnderFaults)
-{
-    SimConfig cfg = stressConfig();
-    EXPECT_EQ(runMode(cfg, "WC", SchemeKind::ScFirst, false),
-              runMode(cfg, "WC", SchemeKind::ScFirst, true));
-}
-
-TEST(FastForward, BaFirstEquivalentUnderFaults)
-{
-    SimConfig cfg = stressConfig();
-    EXPECT_EQ(runMode(cfg, "TS", SchemeKind::BaFirst, false),
-              runMode(cfg, "TS", SchemeKind::BaFirst, true));
-}
-
-TEST(FastForward, HebDEquivalentUnderFaults)
-{
-    SimConfig cfg = stressConfig();
-    EXPECT_EQ(runMode(cfg, "TS", SchemeKind::HebD, false),
-              runMode(cfg, "TS", SchemeKind::HebD, true));
-}
-
-TEST(FastForward, HebDEquivalentWithDegradationLadder)
-{
-    SimConfig cfg = stressConfig();
-    cfg.degradationPolicy = true;
-    EXPECT_EQ(runMode(cfg, "WS", SchemeKind::HebD, false),
-              runMode(cfg, "WS", SchemeKind::HebD, true));
-}
-
-TEST(FastForward, SolarEquivalent)
-{
-    // Solar supply changes every sample, so the horizon collapses to
-    // the next tick and the kernel never engages — but the flag must
-    // still be a no-op on the results.
-    SimConfig cfg;
-    cfg.durationSeconds = 6.0 * 3600.0;
-    cfg.solarPowered = true;
-    EXPECT_EQ(runMode(cfg, "MS", SchemeKind::HebD, false),
-              runMode(cfg, "MS", SchemeKind::HebD, true));
-}
-
-/**
- * An outage-sparse, jitter-free profile: long flat phases are the
- * regime the fast-forward engine targets, and the kernel must both
- * engage (macro-ticks actually taken) and stay exact.
- */
-ProfileParams
-calmProfile()
-{
-    ProfileParams p;
-    p.name = "CALM";
-    p.peakClass = PeakClass::Large;
-    // Both phases fit under the default 260 W budget (~252 W and
-    // ~201 W for six 30/70 W servers at the high DVFS level): the
-    // engine only fast-forwards quiescent spans, so a profile that
-    // browns the cluster out would never let the kernel engage.
-    p.highUtil = 0.30;
-    p.lowUtil = 0.05;
-    p.highPhaseS = 900.0;
-    p.lowPhaseS = 4500.0;
-    p.jitter = 0.0;
-    p.diurnalDepth = 0.0;
-    p.serverStagger = 0.0;
-    return p;
-}
-
-TEST(FastForward, EngagesAndStaysExactOnCalmWorkload)
-{
-    SimConfig cfg;
-    cfg.durationSeconds = 12.0 * 3600.0;
-    cfg.outages = {{6.0 * 3600.0, 120.0}};
-    SyntheticWorkload workload(calmProfile(), cfg.seed);
-
-    cfg.fastForward = false;
-    auto dense_scheme = makeScheme(SchemeKind::ScFirst);
-    std::string dense = simResultToJson(
-        Simulator(cfg).run(workload, *dense_scheme));
-
-    // Trace the fast-forward run to prove macro-ticks were taken:
-    // equivalence alone would also pass if the kernel always bailed.
-    obs::setTelemetryLevel(obs::TelemetryLevel::Full);
-    obs::TraceRecorder trace(1 << 16);
-    obs::setActiveTrace(&trace);
-    cfg.fastForward = true;
-    auto ff_scheme = makeScheme(SchemeKind::ScFirst);
-    std::string ff = simResultToJson(
-        Simulator(cfg).run(workload, *ff_scheme));
-    obs::setActiveTrace(nullptr);
-    obs::setTelemetryLevel(obs::TelemetryLevel::Off);
-
-    EXPECT_EQ(dense, ff);
-    int quiescent = 0;
-    for (const auto &ev : trace.snapshot())
-        quiescent += ev.kind == obs::TraceEventKind::Quiescent;
-    EXPECT_GT(quiescent, 0)
-        << "kernel never engaged on a jitter-free workload";
-}
 
 /**
  * The outage-sparse rack grid the engine is sized for: 128 servers on
@@ -172,7 +41,7 @@ TEST(FastForward, OutageSparseGridExactAndCovered)
                    {0.96 * cfg.durationSeconds, 60.0}};
     HebSchemeConfig scheme_cfg;
     PowerAllocationTable pat = buildSeededPat(cfg, scheme_cfg);
-    SyntheticWorkload workload(calmProfile(), cfg.seed);
+    SyntheticWorkload workload(test::calmProfile("CALM", 0.30), cfg.seed);
 
     struct Cell
     {

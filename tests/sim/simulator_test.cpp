@@ -10,6 +10,7 @@
 
 #include "fault/fault_plan.h"
 #include "sim/experiment.h"
+#include "sim/fleet.h"
 #include "sim/simulator.h"
 #include "workload/workload_profiles.h"
 #include "test_paths.h"
@@ -140,19 +141,6 @@ TEST(Simulator, LowBudgetForcesDowntime)
     EXPECT_GT(r.ledger.unservedWh, 0.0);
 }
 
-TEST(Simulator, DeterministicAcrossRuns)
-{
-    SimConfig cfg = shortConfig();
-    auto workload = makeWorkload("TS");
-    auto s1 = makeScheme(SchemeKind::HebD);
-    auto s2 = makeScheme(SchemeKind::HebD);
-    SimResult a = Simulator(cfg).run(*workload, *s1);
-    SimResult b = Simulator(cfg).run(*workload, *s2);
-    EXPECT_DOUBLE_EQ(a.energyEfficiency, b.energyEfficiency);
-    EXPECT_DOUBLE_EQ(a.downtimeSeconds, b.downtimeSeconds);
-    EXPECT_DOUBLE_EQ(a.batteryWeightedAh, b.batteryWeightedAh);
-}
-
 TEST(Simulator, BatteryLifetimeTracked)
 {
     SimConfig cfg = shortConfig();
@@ -197,14 +185,22 @@ fnv1a(std::uint64_t h, const std::string &text)
 
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
-/** One run of @p workload under a fresh @p kind scheme, as JSON. */
+/**
+ * One run of @p workload under a fresh @p kind scheme, as JSON: the
+ * one-rack Static fleet Simulator::run builds, on @p mode's engine.
+ */
 std::string
 pinnedRun(const SimConfig &cfg, const char *workload, SchemeKind kind,
+          FleetMode mode = FleetMode::Event,
           const CheckpointOptions &ckpt = {})
 {
     auto wl = makeWorkload(workload);
     auto scheme = makeScheme(kind);
-    return simResultToJson(Simulator(cfg).run(*wl, *scheme, ckpt));
+    FleetResult r = FleetSimulator(cfg, cfg.budgetW,
+                                   FleetOptions{BudgetPolicy::Static, mode})
+                        .run({RackSpec{"rack0", wl.get(), scheme.get()}},
+                             ckpt);
+    return simResultToJson(r.racks[0]);
 }
 
 /** The rig variants the digests cover, by name. */
@@ -265,14 +261,13 @@ TEST(Simulator, ResultDigestsPinned)
         {"solar", 0xbb12b8de9ecd6e85ull},
         {"utility", 0x572468bcdf2ad9ddull},
     };
-    for (auto &[name, cfg] : pinnedConfigs()) {
+    for (const auto &[name, cfg] : pinnedConfigs()) {
         std::uint64_t h = kFnvBasis;
-        for (bool ff : {false, true}) {
-            cfg.fastForward = ff;
+        for (FleetMode mode : {FleetMode::Dense, FleetMode::Event}) {
             for (const char *wl : {"WC", "TS"}) {
                 for (SchemeKind kind :
                      {SchemeKind::HebD, SchemeKind::BaOnly})
-                    h = fnv1a(h, pinnedRun(cfg, wl, kind));
+                    h = fnv1a(h, pinnedRun(cfg, wl, kind, mode));
             }
         }
         EXPECT_EQ(h, pinned.at(name))
@@ -294,7 +289,8 @@ TEST(Simulator, CheckpointedAndResumedDigestsPinned)
     CheckpointOptions every;
     every.everySimSeconds = cfg.durationSeconds / 3.0;
     every.dir = dir.string();
-    EXPECT_EQ(digest(pinnedRun(cfg, "TS", SchemeKind::HebD, every)),
+    EXPECT_EQ(digest(pinnedRun(cfg, "TS", SchemeKind::HebD,
+                               FleetMode::Event, every)),
               pinned);
 
     // "Kill" the run after its second snapshot: drop every file of
@@ -317,7 +313,8 @@ TEST(Simulator, CheckpointedAndResumedDigestsPinned)
     resume.dir = dir.string();
     resume.resume = true;
     ::testing::internal::CaptureStderr();
-    std::string resumed = pinnedRun(cfg, "TS", SchemeKind::HebD, resume);
+    std::string resumed =
+        pinnedRun(cfg, "TS", SchemeKind::HebD, FleetMode::Event, resume);
     std::string log = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(log.find("no valid"), std::string::npos) << log;
     EXPECT_EQ(digest(resumed), pinned);

@@ -71,7 +71,7 @@ usage()
         "                        [--schemes A,B,...] [--seed S] "
         "[--jobs N] [--out FILE.json]\n"
         "                        [--no-degradation] "
-        "[--fast-forward on|off] [--log-level LEVEL]\n"
+        "[--log-level LEVEL]\n"
         "  defaults: 100 scenarios, 8 h, workload TS, schemes "
         "BaOnly,SCFirst,HEB-D\n"
         "  --jobs sets the shared sweep pool width "
@@ -91,7 +91,6 @@ main(int argc, char **argv)
     std::uint64_t seed = 1;
     std::string out_path;
     bool degradation = true;
-    bool fast_forward = true;
 
     for (int i = 1; i < argc; ++i) {
         auto need_value = [&](const char *flag) -> std::string {
@@ -125,12 +124,6 @@ main(int argc, char **argv)
             out_path = need_value("--out");
         else if (!std::strcmp(argv[i], "--no-degradation"))
             degradation = false;
-        else if (!std::strcmp(argv[i], "--fast-forward")) {
-            std::string v = need_value("--fast-forward");
-            if (v != "on" && v != "off")
-                fatal("--fast-forward expects on or off");
-            fast_forward = v == "on";
-        }
         else if (!std::strcmp(argv[i], "--jobs")) {
             ThreadPool::configureGlobal(ThreadPool::parseJobs(
                 need_value("--jobs"), "--jobs"));
@@ -150,7 +143,6 @@ main(int argc, char **argv)
     cfg.durationSeconds = duration_hours * kSecondsPerHour;
     cfg.faultSeed = seed;
     cfg.degradationPolicy = degradation;
-    cfg.fastForward = fast_forward;
     cfg.validate();
 
     std::printf("%zu scenarios x %zu schemes, %s, %.1f h, seed %llu, "

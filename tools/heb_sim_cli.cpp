@@ -80,7 +80,7 @@ usage()
         "[--trace-chrome FILE] [--metrics-out FILE]\n"
         "               [--prom-out FILE] [--manifest FILE] "
         "[--profile] [--log-level LEVEL]\n"
-        "               [--jobs N] [--fast-forward on|off]\n"
+        "               [--jobs N]\n"
         "               [--checkpoint-every SECONDS] "
         "[--checkpoint-dir DIR] [--resume]\n"
         "               [--result-json FILE]\n"
@@ -88,8 +88,6 @@ usage()
         "  schemes:   BaOnly BaFirst SCFirst HEB-F HEB-S HEB-D\n"
         "  log levels: panic fatal warn info debug "
         "(HEB_LOG_LEVEL honoured)\n"
-        "  --fast-forward toggles the quiescence macro-tick "
-        "engine (default on; results are identical either way)\n"
         "  --jobs sets the shared sweep pool width "
         "(HEB_JOBS honoured; default: all cores)\n"
         "  --checkpoint-every writes a resumable snapshot every N "
@@ -127,8 +125,6 @@ main(int argc, char **argv)
     std::string manifest_path;
     std::size_t trace_stride = 1;
     bool profile = false;
-    bool fast_forward = true;
-    bool fast_forward_set = false;
     CheckpointOptions ckpt;
     std::string result_json_path;
 
@@ -171,13 +167,6 @@ main(int argc, char **argv)
             manifest_path = need_value("--manifest");
         else if (!std::strcmp(argv[i], "--profile"))
             profile = true;
-        else if (!std::strcmp(argv[i], "--fast-forward")) {
-            std::string v = need_value("--fast-forward");
-            if (v != "on" && v != "off")
-                fatal("--fast-forward expects on or off");
-            fast_forward = v == "on";
-            fast_forward_set = true;
-        }
         else if (!std::strcmp(argv[i], "--checkpoint-every"))
             ckpt.everySimSeconds = need_double("--checkpoint-every");
         else if (!std::strcmp(argv[i], "--checkpoint-dir"))
@@ -230,8 +219,6 @@ main(int argc, char **argv)
                           ? Config()
                           : Config::fromFile(config_path);
     SimConfig cfg = simConfigFromConfig(file_cfg);
-    if (fast_forward_set)
-        cfg.fastForward = fast_forward;
     cfg.validate();
     ckpt.validate();
     if (!ckpt.dir.empty())
