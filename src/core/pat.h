@@ -10,11 +10,18 @@
  * At slot end the controller either adds a new (rounded) entry or
  * nudges the existing entry's R_λ by ±Δr depending on whether the SC
  * or battery side drained faster than expected.
+ *
+ * A profiled seed entry may hold its key now and compute its R_λ on
+ * first read (seed() with a race). Copies of a table share such a
+ * pending ratio, so it is computed once per seeded table whichever
+ * copy or thread reads it first; reading it never writes the table.
  */
 
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,17 +70,18 @@ class PowerAllocationTable
     /** Number of entries. */
     std::size_t size() const { return entries_.size(); }
 
-    /** Read-only entry access. */
-    const std::vector<PatEntry> &entries() const { return entries_; }
+    /**
+     * Every entry, in table order, with its R_λ resolved: reading the
+     * whole table computes every pending seed ratio.
+     */
+    std::vector<PatEntry> entries() const;
 
     /**
-     * Replace the entry list wholesale (checkpoint restore). Grid
-     * and Δr are construction-time config and stay as built.
+     * Replace the entry list wholesale (checkpoint restore); no
+     * ratio stays pending. Grid and Δr are construction-time config
+     * and stay as built.
      */
-    void restoreEntries(std::vector<PatEntry> entries)
-    {
-        entries_ = std::move(entries);
-    }
+    void restoreEntries(std::vector<PatEntry> entries);
 
     /**
      * Exact lookup on the quantized key; empty when no entry matches
@@ -93,9 +101,22 @@ class PowerAllocationTable
     std::optional<double> lookup(double sc_wh, double ba_wh,
                                  double mismatch_w) const;
 
-    /** Insert a profiled seed entry (pilot run, §5.2). */
+    /**
+     * Insert a profiled seed entry (pilot run, §5.2). A later seed of
+     * the same quantized key replaces its ratio in place.
+     */
     void seed(double sc_wh, double ba_wh, double mismatch_w,
               double r_lambda);
+
+    /**
+     * Insert a seed entry whose ratio @p race computes when the entry
+     * is first read: an exact or nearest-neighbour lookup that lands
+     * on it, a recordOutcome nudge, a requantized() cell averaging it,
+     * or entries(). The key takes its place now, so lookups see the
+     * same keys in the same order as an eager seed.
+     */
+    void seed(double sc_wh, double ba_wh, double mismatch_w,
+              std::function<double()> race);
 
     /**
      * End-of-slot learning (lines 12-23 of Fig. 10).
@@ -113,9 +134,10 @@ class PowerAllocationTable
 
     /**
      * Re-quantize this table onto a (typically coarser) grid,
-     * averaging R_λ across entries landing in the same cell. Used to
-     * derive HEB-S's "limited profiling information" table from the
-     * full profile.
+     * averaging R_λ across entries landing in the same cell, as a
+     * running mean in table order. Used to derive HEB-S's "limited
+     * profiling information" table from the full profile. A cell
+     * averaging a pending seed ratio averages when first read.
      */
     PowerAllocationTable requantized(PatGrid coarser_grid) const;
 
@@ -141,6 +163,9 @@ class PowerAllocationTable
                                         double delta_r = 0.01);
 
   private:
+    /** A seed ratio computed once, on first read (defined in pat.cpp). */
+    struct Pending;
+
     /** Round a key to its grid. */
     double quantize(double value, double step) const;
 
@@ -148,9 +173,18 @@ class PowerAllocationTable
     std::optional<std::size_t> findExact(double sc_q, double ba_q,
                                          double pm_q) const;
 
+    /** Put the ratio of a seed on its key, keeping the key's slot. */
+    void place(double sc_wh, double ba_wh, double mismatch_w,
+               double r_lambda, std::shared_ptr<const Pending> pending);
+
+    /** R_λ of entry @p i, computing a pending ratio on first read. */
+    double ratio(std::size_t i) const;
+
     PatGrid grid_;
     double deltaR_;
     std::vector<PatEntry> entries_;
+    /** Per entry, the shared ratio still to compute, or null. */
+    std::vector<std::shared_ptr<const Pending>> pending_;
 };
 
 } // namespace heb

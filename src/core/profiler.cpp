@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "core/load_assignment.h"
@@ -199,21 +200,18 @@ BufferProfiler::seedTable(PowerAllocationTable &table,
                           const std::vector<double> &ba_socs,
                           const std::vector<double> &mismatch_watts) const
 {
+    auto self = std::make_shared<const BufferProfiler>(*this);
     for (double s : sc_socs) {
         for (double b : ba_socs) {
             for (double w : mismatch_watts) {
-                double r;
-                if (config_.cyclicSeeding) {
-                    r = bestCyclicRatio(s, b, w);
-                } else {
-                    r = profileScenario(s, b, w).bestRatio();
-                }
                 auto sc = scFactory_();
                 auto ba = baFactory_();
                 sc->setSoc(s);
                 ba->setSoc(b);
-                table.seed(sc->usableEnergyWh(), ba->usableEnergyWh(),
-                           w, r);
+                table.seed(sc->usableEnergyWh(), ba->usableEnergyWh(), w,
+                           [self, s, b, w] {
+                               return self->bestCyclicRatio(s, b, w);
+                           });
             }
         }
     }

@@ -10,12 +10,20 @@
  * scenarios, using factory callbacks so each trial starts from fresh
  * device state.
  *
- * Cyclic seeding picks the ratio with the least unserved energy by
- * branch-and-bound: candidates still race in order, but a race stops
- * as soon as its running sum reaches the score it would have to beat,
- * and no race steps the valley after its final peak. Both cuts are
- * exact, so the chosen ratio is the one a full race of every
- * candidate would pick (DESIGN.md §8).
+ * Seeding is cyclic: each trial alternates peaks at the scenario
+ * mismatch with recharging valleys, which matches how the buffers
+ * actually operate. It picks the ratio with the least unserved energy
+ * by branch-and-bound: candidates still race in order, but a race
+ * stops as soon as its running sum reaches the score it would have to
+ * beat, and no race steps the valley after its final peak. Both cuts
+ * are exact, so the chosen ratio is the one a full race of every
+ * candidate would pick.
+ *
+ * Seeding is also lazy. A table key is the usable energy of fresh
+ * banks at the pilot SoCs plus the pilot power, so it needs no race;
+ * a cell races its candidates only when a run first reads its ratio,
+ * and copies of the table share that result (DESIGN.md §8). A run
+ * that reads few cells pays for few races.
  */
 
 #pragma once
@@ -67,15 +75,6 @@ struct ProfilerConfig
 
     /** Stop a race when this much of the demand goes unserved (W). */
     double unservedToleranceW = 0.5;
-
-    /**
-     * Seed the PAT with *cyclic* profiling: each trial alternates a
-     * peak of peakDurationS at the scenario mismatch with a valley
-     * of valleyDurationS at valleyChargeW of recharge, which matches
-     * how the buffers actually operate. When false, seeding uses the
-     * pure endurance race (the Fig. 6 experiment).
-     */
-    bool cyclicSeeding = true;
 
     /** Peak phase length in the cyclic trial (s). */
     double peakDurationS = 900.0;
@@ -135,8 +134,11 @@ class BufferProfiler
                            double mismatch_w) const;
 
     /**
-     * Seed @p table with the best ratio of every (soc, soc, power)
-     * combination in the given grids.
+     * Seed @p table with the best cyclic ratio of every (soc, soc,
+     * power) combination in the given grids. Every key is placed now;
+     * each ratio is raced when the table first reads it, on a copy of
+     * this profiler, so the factories must not capture anything that
+     * may die before the table does.
      */
     void seedTable(PowerAllocationTable &table,
                    const std::vector<double> &sc_socs,

@@ -237,7 +237,10 @@ HebScheme::checkpoint(StateCursor &cursor)
     cursor.flag(havePlan_, "havePlan");
     checkpointSlotPlan(cursor, lastPlan_);
     predictor_.checkpoint(cursor);
-    std::vector<PatEntry> entries = pat_.entries();
+    // Saving reads the whole table; loading replaces it.
+    std::vector<PatEntry> entries;
+    if (!cursor.loading())
+        entries = pat_.entries();
     cursor.list(entries, "pat entry count", [&](PatEntry &e) {
         cursor.value(e.scWh, "pat scWh");
         cursor.value(e.baWh, "pat baWh");

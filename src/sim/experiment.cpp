@@ -38,12 +38,14 @@ buildSeededPat(const SimConfig &config,
 {
     PowerAllocationTable table(scheme_cfg.patGrid, scheme_cfg.deltaR);
 
+    // The table races its cells after this returns: capture the bank
+    // layout by value.
     BufferProfiler profiler(
-        [&config]() {
-            return makeScBank(config.scEnergyWh, config.scDod);
+        [wh = config.scEnergyWh, dod = config.scDod]() {
+            return makeScBank(wh, dod);
         },
-        [&config]() {
-            return makeBatteryBank(config.baEnergyWh, config.baDod);
+        [wh = config.baEnergyWh, dod = config.baDod]() {
+            return makeBatteryBank(wh, dod);
         });
 
     // A modest pilot grid, like the paper's limited profiling run.

@@ -46,8 +46,10 @@ struct SchemeSummary
 };
 
 /**
- * Build the profiled PAT the HEB-S / HEB-D schemes start from, by
- * racing the config's banks across a grid of scenarios (paper §5.2).
+ * Build the profiled PAT the HEB-S / HEB-D schemes start from, over
+ * a grid of pilot scenarios (paper §5.2). Every key is placed at
+ * once; a cell races the config's banks across the candidate ratios
+ * when the table, or any copy of it, first reads it.
  */
 PowerAllocationTable buildSeededPat(const SimConfig &config,
                                     const HebSchemeConfig &scheme_cfg);

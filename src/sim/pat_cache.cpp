@@ -32,8 +32,7 @@ std::shared_ptr<const PowerAllocationTable>
 SeededPatCache::get(const SimConfig &config,
                     const HebSchemeConfig &scheme_cfg)
 {
-    // Seeding runs outside the lock, so other layouts keep building
-    // in parallel.
+    // Building places the keys only; cells race when first read.
     return entries_.get(patSeedKey(config, scheme_cfg), [&] {
         return std::make_shared<const PowerAllocationTable>(
             buildSeededPat(config, scheme_cfg));

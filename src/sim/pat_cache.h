@@ -2,18 +2,21 @@
  * @file
  * Shared cache of profiler-seeded power allocation tables.
  *
- * Seeding a PAT races real bank models through dozens of profiling
- * scenarios — by far the most expensive fixed cost of a sweep point.
- * But the profiler only reads the bank layout (installed energies
- * and DoD throttles) plus the scheme's table geometry: every sweep
- * cell that shares those fields gets a bit-identical table. The
- * cache keys on exactly that field set, so a Fig. 12 grid seeds
- * once, and a ratio or capacity sweep seeds once per distinct bank
- * layout instead of once per (scheme × workload) cell.
+ * A seeded PAT races real bank models through dozens of profiling
+ * scenarios, one 11-candidate race per cell, and the races are the
+ * most expensive fixed cost of a sweep point. The profiler only reads
+ * the bank layout (installed energies and DoD throttles) plus the
+ * scheme's table geometry: every sweep cell that shares those fields
+ * gets a bit-identical table. The cache keys on exactly that field
+ * set, so a Fig. 12 grid seeds once, and a ratio or capacity sweep
+ * seeds once per distinct bank layout instead of once per (scheme ×
+ * workload) cell.
  *
- * Entries are immutable and shared (schemes copy their working
- * table out of the seed), so concurrent sweep tasks may read one
- * entry while another key is still being built. Duplicate
+ * Building an entry places its keys only; a cell races when some run
+ * first reads it. Entries are published immutable, and schemes copy
+ * their working table out of the seed. The copies share each cell's
+ * once-guarded race, so across every copy and thread a cell races at
+ * most once per entry, and cells no run reads never race. Duplicate
  * concurrent misses on the same key build once: later requesters
  * block on the first builder's future.
  */
