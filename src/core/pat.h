@@ -136,8 +136,9 @@ class PowerAllocationTable
      * Re-quantize this table onto a (typically coarser) grid,
      * averaging R_λ across entries landing in the same cell, as a
      * running mean in table order. Used to derive HEB-S's "limited
-     * profiling information" table from the full profile. A cell
-     * averaging a pending seed ratio averages when first read.
+     * profiling information" table from the full profile. Each cell
+     * averages when first read, so a pending seed ratio it covers is
+     * computed only then.
      */
     PowerAllocationTable requantized(PatGrid coarser_grid) const;
 
