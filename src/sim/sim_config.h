@@ -185,6 +185,22 @@ struct SimConfig
         scEnergyWh = total * sc_parts / denom;
         baEnergyWh = total * ba_parts / denom;
     }
+
+    /**
+     * Resize the rack to @p servers and scale both banks with it (the
+     * defaults size a six-server rack). Budgets are left to the
+     * caller. Returns the factor, servers / old numServers.
+     */
+    double
+    scaleServers(std::size_t servers)
+    {
+        double scale = static_cast<double>(servers) /
+                       static_cast<double>(numServers);
+        numServers = servers;
+        scEnergyWh *= scale;
+        baEnergyWh *= scale;
+        return scale;
+    }
 };
 
 } // namespace heb

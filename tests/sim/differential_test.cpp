@@ -114,10 +114,8 @@ parseScenario(const std::string &line)
     Scenario s;
     SimConfig &cfg = s.cfg;
     cfg.durationSeconds = num("hours", 4.0) * 3600.0;
-    cfg.numServers = static_cast<std::size_t>(num("servers", 6.0));
-    const double scale = static_cast<double>(cfg.numServers) / 6.0;
-    cfg.scEnergyWh *= scale;
-    cfg.baEnergyWh *= scale;
+    const double scale = cfg.scaleServers(
+        static_cast<std::size_t>(num("servers", 6.0)));
     cfg.budgetW = num("budget", 260.0 * scale);
     if (take("policy") == "proportional")
         s.policy = BudgetPolicy::Proportional;

@@ -29,10 +29,8 @@ namespace {
 TEST(FastForward, OutageSparseGridExactAndCovered)
 {
     SimConfig cfg;
-    cfg.numServers = 128;
+    cfg.scaleServers(128);
     cfg.budgetW = 45.0 * 128.0;
-    cfg.scEnergyWh *= 128.0 / 6.0;
-    cfg.baEnergyWh *= 128.0 / 6.0;
     cfg.durationSeconds = 6.0 * 3600.0;
     cfg.faultInjection = true;
     cfg.faultSeed = 1;

@@ -197,9 +197,7 @@ TEST(FleetEvent, QuickCalmFleetExactAndCovered)
 {
     constexpr std::size_t kRacks = 8;
     SimConfig cfg;
-    cfg.numServers = 32;
-    cfg.scEnergyWh *= 32.0 / 6.0;
-    cfg.baEnergyWh *= 32.0 / 6.0;
+    cfg.scaleServers(32);
     cfg.durationSeconds = 6.0 * 3600.0;
     cfg.faultInjection = true;
     cfg.faultPlan.atsFailuresPerDay = 0.0;
