@@ -9,16 +9,14 @@
  * be shielded from large peak mismatches.
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "esd/battery.h"
 #include "esd/supercapacitor.h"
-#include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/run_outputs.h"
 #include "util/csv.h"
-#include "util/logging.h"
 #include "util/table_printer.h"
 
 using namespace heb;
@@ -28,12 +26,13 @@ main()
 {
     std::printf("=== Figure 5: discharge voltage curves ===\n\n");
 
-    obs::setTelemetryLevel(obs::TelemetryLevel::Metrics);
-    obs::setProfilingEnabled(true);
-    obs::RunManifest manifest;
-    manifest.tool = "fig05_discharge";
-    manifest.startedAtIso = isoTimestampUtc();
-    auto wall_start = std::chrono::steady_clock::now();
+    obs::RunOutputs outputs;
+    outputs.metricsPath = "fig05_metrics.json";
+    outputs.manifestPath = "fig05_manifest.json";
+    outputs.profile = true;
+    outputs.manifest.tool = "fig05_discharge";
+    outputs.begin(0, false);
+    outputs.startClock();
     auto &ba_v_hist = obs::MetricsRegistry::global().histogram(
         "bench.fig05.battery_v", {0.5, 2.0, 8});
     auto &sc_v_hist = obs::MetricsRegistry::global().histogram(
@@ -107,18 +106,12 @@ main()
     }
     table.print();
 
-    manifest.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    obs::MetricsRegistry::global().writeJson("fig05_metrics.json");
-    obs::writeRunManifest("fig05_manifest.json", manifest);
-    std::printf("\n--- phase profile ---\n%s",
-                obs::profileReport().c_str());
+    outputs.stopClock();
+    outputs.writeTelemetry();
+    outputs.writeProfileAndManifest();
 
     std::printf("\nFull curves written to fig05_discharge.csv; "
-                "metrics to fig05_metrics.json, provenance to "
-                "fig05_manifest.json.\n");
+                "provenance to fig05_manifest.json.\n");
     std::printf("Paper shape: SC voltage declines ~linearly at every "
                 "load; battery voltage drops sharply as load "
                 "grows.\n");

@@ -10,15 +10,11 @@
  * ~25 % in the paper).
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "core/profiler.h"
 #include "esd/bank_builder.h"
-#include "obs/manifest.h"
-#include "obs/metrics.h"
-#include "obs/profile.h"
-#include "util/logging.h"
+#include "obs/run_outputs.h"
 #include "util/table_printer.h"
 
 using namespace heb;
@@ -30,12 +26,13 @@ main()
                 "(6 servers, constant demand; strict assignment with "
                 "takeover on depletion)\n\n");
 
-    obs::setTelemetryLevel(obs::TelemetryLevel::Metrics);
-    obs::setProfilingEnabled(true);
-    obs::RunManifest manifest;
-    manifest.tool = "fig06_runtime";
-    manifest.startedAtIso = isoTimestampUtc();
-    auto wall_start = std::chrono::steady_clock::now();
+    obs::RunOutputs outputs;
+    outputs.metricsPath = "fig06_metrics.json";
+    outputs.manifestPath = "fig06_manifest.json";
+    outputs.profile = true;
+    outputs.manifest.tool = "fig06_runtime";
+    outputs.begin(0, false);
+    outputs.startClock();
 
     ProfilerConfig cfg;
     cfg.ratioSteps = 7; // 0..6 servers on the SC branch
@@ -67,17 +64,11 @@ main()
                         prof.bestRuntime());
     }
 
-    manifest.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    obs::MetricsRegistry::global().writeJson("fig06_metrics.json");
-    obs::writeRunManifest("fig06_manifest.json", manifest);
-    std::printf("--- phase profile ---\n%s\n",
-                obs::profileReport().c_str());
+    outputs.stopClock();
+    outputs.writeTelemetry();
+    outputs.writeProfileAndManifest();
 
-    std::printf("Metrics written to fig06_metrics.json, provenance "
-                "to fig06_manifest.json.\n");
+    std::printf("\nProvenance written to fig06_manifest.json.\n");
     std::printf("Paper shape: an interior split maximizes uptime; "
                 "assigning heavy load on SCs cuts uptime ~25%%.\n");
     return 0;

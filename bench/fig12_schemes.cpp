@@ -18,7 +18,7 @@
 #include <cstdio>
 
 #include "sim/experiment.h"
-#include "util/sweep_cli.h"
+#include "util/cli.h"
 #include "util/table_printer.h"
 #include "workload/workload_profiles.h"
 
@@ -81,7 +81,7 @@ printComparison(const char *title,
 int
 main(int argc, char **argv)
 {
-    applySweepCliArgs(argc, argv);
+    parseJobsOnly(argc, argv);
     std::printf("=== Figure 12: scheme comparison, 8 workloads, "
                 "equal-capacity buffers (SC:BA = 3:7) ===\n");
 

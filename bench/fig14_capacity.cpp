@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "sim/experiment.h"
-#include "util/sweep_cli.h"
+#include "util/cli.h"
 #include "util/table_printer.h"
 #include "workload/workload_profiles.h"
 
@@ -20,7 +20,7 @@ using namespace heb;
 int
 main(int argc, char **argv)
 {
-    applySweepCliArgs(argc, argv);
+    parseJobsOnly(argc, argv);
     std::printf("=== Figure 14: capacity growth via DoD sweep "
                 "(3:7 split, HEB-D) ===\n\n");
 

@@ -17,28 +17,12 @@
 #include "sim/experiment.h"
 #include "util/table_printer.h"
 
-namespace {
-
-heb::SchemeKind
-parseScheme(const std::string &name)
-{
-    for (heb::SchemeKind kind : heb::allSchemeKinds()) {
-        if (name == heb::schemeKindName(kind))
-            return kind;
-    }
-    std::fprintf(stderr, "unknown scheme '%s', using HEB-D\n",
-                 name.c_str());
-    return heb::SchemeKind::HebD;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "TS";
     heb::SchemeKind scheme =
-        parseScheme(argc > 2 ? argv[2] : "HEB-D");
+        heb::schemeKindFromName(argc > 2 ? argv[2] : "HEB-D");
 
     heb::SimConfig config; // the paper's prototype defaults
     heb::HebSchemeConfig scheme_cfg;

@@ -130,6 +130,9 @@ enum class SchemeKind { BaOnly, BaFirst, ScFirst, HebF, HebS, HebD };
 /** Render a scheme kind as its Table 2 name. */
 const char *schemeKindName(SchemeKind kind);
 
+/** The kind whose Table 2 name is @p name; fatal() on any other. */
+SchemeKind schemeKindFromName(const std::string &name);
+
 /** All six kinds in Table 2 order. */
 const std::vector<SchemeKind> &allSchemeKinds();
 

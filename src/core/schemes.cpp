@@ -46,6 +46,17 @@ schemeKindName(SchemeKind kind)
     return "?";
 }
 
+SchemeKind
+schemeKindFromName(const std::string &name)
+{
+    for (SchemeKind kind : allSchemeKinds()) {
+        if (name == schemeKindName(kind))
+            return kind;
+    }
+    fatal("unknown scheme '", name,
+          "' (expected BaOnly/BaFirst/SCFirst/HEB-F/HEB-S/HEB-D)");
+}
+
 const std::vector<SchemeKind> &
 allSchemeKinds()
 {

@@ -13,6 +13,14 @@
  * describing object per line) or CSV via the same schema table that
  * names each event kind's fields.
  *
+ * "Oldest-first" is record order. A fleet run on more than one pool
+ * lane records racks concurrently, so the order of its lines follows
+ * thread scheduling while the set of lines does not: on a 4-core
+ * box, 4 of 10 repeated `heb_fleet --racks 2 --hours 2` runs wrote
+ * the same 8878 lines as the first in a different order, and at
+ * `--jobs 1` the files were byte-identical. Compare multi-lane traces
+ * as sorted lines, or record at one lane.
+ *
  * Instrumented code reaches the recorder through activeTrace(),
  * which returns nullptr unless telemetry is Full *and* a recorder
  * has been installed — the disabled hot path is one load + branch.

@@ -33,7 +33,7 @@
  *    %.17g.
  *  - Dense: every rack, every tick — the oracle that
  *    tests/sim/differential_test.cpp compares the event engine
- *    against, and `heb_fleet --fleet-mode dense`.
+ *    against. Only the tests select it; no tool has an engine flag.
  *
  * Per-tick computeDemand/tick fan-out is sharded across the shared
  * ThreadPool (ThreadPool::forEachIndex into buffers the run owns),
@@ -92,7 +92,7 @@ struct FleetOptions
     /** Budget arbitration policy. */
     BudgetPolicy policy = BudgetPolicy::Static;
 
-    /** Execution engine. */
+    /** Execution engine; the tests' dense-oracle selector. */
     FleetMode mode = FleetMode::Event;
 
     /**
