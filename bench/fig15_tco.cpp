@@ -16,6 +16,7 @@
 #include "tco/cost_model.h"
 #include "tco/peak_shaving.h"
 #include "tco/roi.h"
+#include "util/logging.h"
 #include "util/table_printer.h"
 #include "workload/workload_profiles.h"
 
@@ -146,8 +147,12 @@ partC(bool from_sim)
 int
 main(int argc, char **argv)
 {
-    bool from_sim =
-        argc > 1 && std::strcmp(argv[1], "--sim") == 0;
+    bool from_sim = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--sim") != 0)
+            fatal("unknown argument '", argv[i], "' (supported: --sim)");
+        from_sim = true;
+    }
     std::printf("=== Figure 15: TCO analysis ===\n\n");
     partA();
     partB();

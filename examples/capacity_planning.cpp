@@ -11,11 +11,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "sim/experiment.h"
 #include "tco/cost_model.h"
+#include "util/config.h"
 #include "util/table_printer.h"
 #include "workload/workload_profiles.h"
 
@@ -57,7 +57,8 @@ scoreDesign(const SchemeSummary &s, double duration_s,
 int
 main(int argc, char **argv)
 {
-    double budget = argc > 1 ? std::atof(argv[1]) : 260.0;
+    double budget =
+        argc > 1 ? parseNumber<double>(argv[1], "budget_watts") : 260.0;
 
     std::printf("=== Hybrid buffer capacity planning (budget %.0f W) "
                 "===\n\n",

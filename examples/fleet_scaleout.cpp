@@ -11,10 +11,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/schemes.h"
 #include "sim/fleet.h"
+#include "util/config.h"
 #include "util/table_printer.h"
 #include "workload/workload_profiles.h"
 
@@ -71,7 +71,9 @@ runPolicy(BudgetPolicy policy, double budget)
 int
 main(int argc, char **argv)
 {
-    double budget = argc > 1 ? std::atof(argv[1]) : 3.0 * 245.0;
+    double budget =
+        argc > 1 ? parseNumber<double>(argv[1], "facility_budget_watts")
+                 : 3.0 * 245.0;
     std::printf("=== Three-rack HEB fleet on a %.0f W facility feed "
                 "===\n\n",
                 budget);

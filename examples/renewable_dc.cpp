@@ -13,9 +13,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/experiment.h"
+#include "util/config.h"
 #include "util/table_printer.h"
 #include "workload/workload_profiles.h"
 
@@ -24,8 +24,10 @@ using namespace heb;
 int
 main(int argc, char **argv)
 {
-    double rated = argc > 1 ? std::atof(argv[1]) : 450.0;
-    std::uint64_t seed = argc > 2 ? std::atoll(argv[2]) : 42;
+    double rated =
+        argc > 1 ? parseNumber<double>(argv[1], "rated_watts") : 450.0;
+    auto seed = static_cast<std::uint64_t>(
+        argc > 2 ? parseNumber<long long>(argv[2], "seed") : 42);
 
     std::printf("=== Solar-powered datacenter (array %.0f W, seed "
                 "%llu) ===\n\n",

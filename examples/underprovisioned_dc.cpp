@@ -15,10 +15,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "sim/experiment.h"
+#include "util/config.h"
 #include "util/table_printer.h"
 #include "workload/google_trace.h"
 #include "workload/trace_workload.h"
@@ -30,7 +30,7 @@ main(int argc, char **argv)
 {
     std::vector<double> levels;
     for (int i = 1; i < argc; ++i)
-        levels.push_back(std::atof(argv[i]));
+        levels.push_back(parseNumber<double>(argv[i], "provision_fraction"));
     if (levels.empty())
         levels = {0.75, 0.65, 0.55};
 

@@ -105,10 +105,9 @@ dispatchCharge(EnergyStorageDevice &sc, EnergyStorageDevice &battery,
         // surplus to the SC so small valleys refill the fast buffer
         // first.
         constexpr double kBatteryNeedsChargeBelowSoc = 0.90;
-        double ba_cap = battery.maxChargePowerW(dt_seconds);
         double ba_target =
             battery.soc() < kBatteryNeedsChargeBelowSoc
-                ? std::min(surplus_w, ba_cap)
+                ? std::min(surplus_w, battery.maxChargePowerW(dt_seconds))
                 : 0.0;
         result.baPowerW = ba_target > 0.0
                               ? battery.charge(ba_target, dt_seconds)

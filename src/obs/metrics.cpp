@@ -13,8 +13,6 @@ namespace obs {
 
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(TelemetryLevel::Off)};
-
 /**
  * Canonicalize a label set: sorted by key, duplicate keys fatal.
  * Sorting at registration makes (name, labels) identity independent
@@ -81,20 +79,6 @@ renderLabels(const MetricLabels &labels)
     }
     out += '}';
     return out;
-}
-
-TelemetryLevel
-telemetryLevel()
-{
-    return static_cast<TelemetryLevel>(
-        g_level.load(std::memory_order_relaxed));
-}
-
-void
-setTelemetryLevel(TelemetryLevel level)
-{
-    g_level.store(static_cast<int>(level),
-                  std::memory_order_relaxed);
 }
 
 Histogram::Histogram(std::string name, HistogramSpec spec,

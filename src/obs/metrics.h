@@ -54,11 +54,24 @@ std::string renderLabels(const MetricLabels &labels);
  */
 enum class TelemetryLevel { Off, Metrics, Full };
 
+namespace detail {
+/** The process-wide level; a header variable so reads inline. */
+inline std::atomic<TelemetryLevel> g_telemetryLevel{TelemetryLevel::Off};
+} // namespace detail
+
 /** Current process-wide telemetry level (relaxed read). */
-TelemetryLevel telemetryLevel();
+inline TelemetryLevel
+telemetryLevel()
+{
+    return detail::g_telemetryLevel.load(std::memory_order_relaxed);
+}
 
 /** Set the process-wide telemetry level. */
-void setTelemetryLevel(TelemetryLevel level);
+inline void
+setTelemetryLevel(TelemetryLevel level)
+{
+    detail::g_telemetryLevel.store(level, std::memory_order_relaxed);
+}
 
 /** True when metric updates are recorded at all. */
 inline bool

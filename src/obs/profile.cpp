@@ -12,7 +12,6 @@ namespace obs {
 
 namespace {
 
-std::atomic<bool> g_profiling{false};
 std::atomic<bool> g_spanRecording{false};
 
 struct SiteRegistry
@@ -52,18 +51,6 @@ profileEpoch()
 }
 
 } // namespace
-
-bool
-profilingEnabled()
-{
-    return g_profiling.load(std::memory_order_relaxed);
-}
-
-void
-setProfilingEnabled(bool enabled)
-{
-    g_profiling.store(enabled, std::memory_order_relaxed);
-}
 
 unsigned
 profileThreadRank()

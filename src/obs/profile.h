@@ -22,11 +22,24 @@
 namespace heb {
 namespace obs {
 
+namespace detail {
+/** The recording switch; a header variable so reads inline. */
+inline std::atomic<bool> g_profiling{false};
+} // namespace detail
+
 /** True while scoped timers are recording. */
-bool profilingEnabled();
+inline bool
+profilingEnabled()
+{
+    return detail::g_profiling.load(std::memory_order_relaxed);
+}
 
 /** Turn scoped-timer recording on or off (process-wide). */
-void setProfilingEnabled(bool enabled);
+inline void
+setProfilingEnabled(bool enabled)
+{
+    detail::g_profiling.store(enabled, std::memory_order_relaxed);
+}
 
 /**
  * Small dense id of the calling thread (0 = first thread to ask,

@@ -172,9 +172,14 @@ SyntheticWorkload::nextChangeTime(double now_seconds,
     // once (high -> low) and once at the wrap. The phase offset is
     // the same staggered fmod utilization() evaluates, so the edge
     // estimate tracks the real comparison; the simulator's endpoint
-    // guard absorbs any last-ulp disagreement.
+    // guard absorbs any last-ulp disagreement. Without stagger every
+    // server's offset is the same signed zero (0 * period * hash), so
+    // they all share one edge and server 0 answers for the rack.
     double period = params_.highPhaseS + params_.lowPhaseS;
-    for (std::size_t s = 0; s < num_servers; ++s) {
+    const std::size_t distinct =
+        params_.serverStagger == 0.0 ? std::min<std::size_t>(num_servers, 1)
+                                     : num_servers;
+    for (std::size_t s = 0; s < distinct; ++s) {
         double phase =
             phaseAt(now_seconds, staggerOffset(params_, seed_, s, period),
                     period);
