@@ -23,11 +23,30 @@ globalPoolMutex()
     return mu;
 }
 
-std::unique_ptr<ThreadPool> &
+} // namespace
+
+/**
+ * Owner of the global pool. At exit it stops the workers but never
+ * frees the pool: fatal() in a task runs exit() on that worker while
+ * the caller's lane may still be queueing on the pool.
+ */
+struct GlobalPoolSlot
+{
+    ThreadPool *pool = nullptr;
+    ~GlobalPoolSlot()
+    {
+        if (pool)
+            pool->stopWorkers();
+    }
+};
+
+namespace {
+
+GlobalPoolSlot &
 globalPoolSlot()
 {
-    static std::unique_ptr<ThreadPool> pool;
-    return pool;
+    static GlobalPoolSlot slot;
+    return slot;
 }
 
 std::size_t &
@@ -40,9 +59,9 @@ globalJobsOverride()
 /**
  * Hold the global-pool mutex across fork() so the child inherits it
  * in a known state, then abandon the inherited pool in the child:
- * release(), not reset(), because ~ThreadPool would join worker
- * threads that died in the fork. Registered once, by the first
- * global() call — before that there is no pool to inherit.
+ * leak it, because ~ThreadPool would join worker threads that died
+ * in the fork. Registered once, by the first global() call — before
+ * that there is no pool to inherit.
  */
 void
 installForkHandlers()
@@ -51,7 +70,7 @@ installForkHandlers()
         [] { globalPoolMutex().lock(); },
         [] { globalPoolMutex().unlock(); },
         [] {
-            (void)globalPoolSlot().release();
+            globalPoolSlot().pool = nullptr;
             globalPoolMutex().unlock();
         });
     if (rc != 0)
@@ -69,15 +88,25 @@ ThreadPool::ThreadPool(std::size_t jobs)
         workers_.emplace_back([this]() { workerLoop(); });
 }
 
-ThreadPool::~ThreadPool()
+ThreadPool::~ThreadPool() { stopWorkers(); }
+
+void
+ThreadPool::stopWorkers()
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
     }
     cv_.notify_all();
-    for (std::thread &w : workers_)
-        w.join();
+    for (std::thread &w : workers_) {
+        // exit() called by one of this pool's own tasks (fatal() on a
+        // worker) stops the pool on that worker; it cannot join
+        // itself, and it never returns to the loop.
+        if (w.get_id() == std::this_thread::get_id())
+            w.detach();
+        else if (w.joinable())
+            w.join();
+    }
 }
 
 void
@@ -152,10 +181,10 @@ ThreadPool::global()
 {
     installForkHandlers();
     std::lock_guard<std::mutex> lock(globalPoolMutex());
-    auto &slot = globalPoolSlot();
-    if (!slot)
-        slot = std::make_unique<ThreadPool>(globalJobsOverride());
-    return *slot;
+    ThreadPool *&pool = globalPoolSlot().pool;
+    if (!pool)
+        pool = new ThreadPool(globalJobsOverride());
+    return *pool;
 }
 
 void
@@ -163,7 +192,9 @@ ThreadPool::configureGlobal(std::size_t jobs)
 {
     std::lock_guard<std::mutex> lock(globalPoolMutex());
     globalJobsOverride() = jobs;
-    globalPoolSlot().reset();
+    ThreadPool *&pool = globalPoolSlot().pool;
+    delete pool;
+    pool = nullptr;
 }
 
 } // namespace heb

@@ -205,6 +205,10 @@ class ThreadPool
      * child, so exit() or configureGlobal() there never joins them.
      * The husk is deliberately leaked and the child's next global()
      * builds a fresh pool (same override in force).
+     *
+     * exit() joins the workers but never frees the pool, so a
+     * fatal() in a task exits 1 and runs the atexit hooks even while
+     * the caller's lane is still using the pool.
      */
     static ThreadPool &global();
 
@@ -217,6 +221,15 @@ class ThreadPool
     static void configureGlobal(std::size_t jobs);
 
   private:
+    friend struct GlobalPoolSlot;
+
+    /**
+     * Stop and join the workers, all but the calling thread when it
+     * is one of them (exit() from one of this pool's own tasks).
+     * Queued tasks still run first.
+     */
+    void stopWorkers();
+
     /** Completion state shared by one map() batch. */
     struct Batch
     {
