@@ -63,9 +63,11 @@ RideThroughEstimate
 DegradationPolicy::probe(double r_lambda, double sc_soc, double ba_soc,
                          double load_w) const
 {
+    // Estimator tick (s).
+    constexpr double kEstimateTickSeconds = 5.0;
     RideThroughParams rt;
     rt.rLambda = r_lambda;
-    rt.tickSeconds = params_.estimateTickSeconds;
+    rt.tickSeconds = kEstimateTickSeconds;
     rt.horizonSeconds = params_.horizonSeconds;
     return estimateRideThrough(scFactory_, baFactory_, sc_soc, ba_soc,
                                load_w, rt);
@@ -74,14 +76,16 @@ DegradationPolicy::probe(double r_lambda, double sc_soc, double ba_soc,
 SlotPlan
 DegradationPolicy::adapt(SlotPlan plan, const SlotSensors &sensors)
 {
+    // Mismatch (W) below which the policy does not intervene.
+    constexpr double kMinMismatchW = 1.0;
     // The load the bank must carry if the coming slot looks like the
     // scheme predicted — or, with no usable prediction, like the slot
     // that just ended.
     double load_w = plan.predictedMismatchW;
-    if (load_w < params_.minMismatchW)
+    if (load_w < kMinMismatchW)
         load_w =
             std::max(0.0, sensors.lastSlotPeakW - sensors.budgetW);
-    if (load_w < params_.minMismatchW) {
+    if (load_w < kMinMismatchW) {
         lastAction_ = DegradationAction::None;
         ++untouched_;
         return plan;

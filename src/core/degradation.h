@@ -47,14 +47,8 @@ struct DegradationPolicyParams
      */
     double minRideThroughSeconds = 600.0;
 
-    /** Estimator tick (s). */
-    double estimateTickSeconds = 5.0;
-
     /** Estimator horizon (s); > minRideThroughSeconds. */
     double horizonSeconds = 1200.0;
-
-    /** Mismatch (W) below which the policy does not intervene. */
-    double minMismatchW = 1.0;
 };
 
 /** What the policy did to the last slot's plan. */

@@ -57,6 +57,8 @@ BufferProfiler::dischargeRuntime(double sc_soc, double ba_soc,
     // assigned share; only when one device is *depleted* does the
     // other take over the entire load. (No per-tick rate spillover —
     // that is the deployed dispatch, not the characterization rig.)
+    // A race ends once this much of the demand goes unserved (W).
+    constexpr double kUnservedToleranceW = 0.5;
     double dt = config_.tickSeconds;
     double t = 0.0;
     while (t < config_.horizonSeconds) {
@@ -80,7 +82,7 @@ BufferProfiler::dischargeRuntime(double sc_soc, double ba_soc,
         got += ba_target > 0.0 ? ba->discharge(ba_target, dt) : 0.0;
         if (ba_target <= 0.0)
             ba->rest(dt);
-        if (mismatch_w - got > config_.unservedToleranceW)
+        if (mismatch_w - got > kUnservedToleranceW)
             return t;
         t += dt;
     }

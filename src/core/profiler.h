@@ -73,9 +73,6 @@ struct ProfilerConfig
     /** Give up after this long (s). */
     double horizonSeconds = 4.0 * 3600.0;
 
-    /** Stop a race when this much of the demand goes unserved (W). */
-    double unservedToleranceW = 0.5;
-
     /** Peak phase length in the cyclic trial (s). */
     double peakDurationS = 900.0;
 

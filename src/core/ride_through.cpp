@@ -30,6 +30,8 @@ estimateRideThrough(
     sc->setSoc(sc_soc);
     ba->setSoc(ba_soc);
 
+    // Load shortfall that ends the ride-through (W).
+    constexpr double kShortfallToleranceW = 1.0;
     double t = 0.0;
     RideThroughEstimate estimate{params.horizonSeconds, true};
     {
@@ -38,7 +40,7 @@ estimateRideThrough(
             DispatchResult res =
                 dispatchMismatch(*sc, *ba, load_w, params.rLambda,
                                  params.tickSeconds, load_w);
-            if (res.unservedW > params.shortfallToleranceW) {
+            if (res.unservedW > kShortfallToleranceW) {
                 estimate.seconds = t;
                 estimate.survivedHorizon = false;
                 break;

@@ -31,9 +31,6 @@ struct RideThroughParams
 
     /** Estimation horizon cap (s). */
     double horizonSeconds = 8.0 * 3600.0;
-
-    /** Load shortfall that ends the ride-through (W). */
-    double shortfallToleranceW = 1.0;
 };
 
 /** Result of a ride-through estimate. */

@@ -328,6 +328,17 @@ FleetSimulator::run(const std::vector<RackSpec> &racks,
                   "' shares a scheme instance with another rack; "
                   "give each rack its own");
     }
+    // A grid feed below the all-idle draw sheds servers from the
+    // first tick whatever the scheme does: a sizing mistake, not a
+    // scenario. Outages stay legal; a solar feed has no budget.
+    const double idle_w = static_cast<double>(racks.size()) *
+                          static_cast<double>(config_.numServers) *
+                          config_.serverParams.idlePowerW;
+    if (!config_.solarPowered && facilityBudgetW_ < idle_w)
+        fatal("FleetSimulator: facility budget ", facilityBudgetW_,
+              " W (budget_w / --budget-w) is below the idle draw of ",
+              racks.size(), " rack(s) x ", config_.numServers,
+              " servers (servers / --servers) = ", idle_w, " W");
 
     // One fault plan for the feed's ATS outage windows and every rack:
     // generation is pure in (params, duration, seed), so per-domain

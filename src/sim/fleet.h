@@ -229,6 +229,10 @@ class FleetSimulator
      * @param facility_budget  Shared utility budget (W); unused, and
      *                         not validated, for a solar feed.
      * @param options          Policy + engine knobs.
+     *
+     * run() checks the feed, as only it knows the rack count: a grid
+     * budget below racks x numServers x idlePowerW is fatal (a
+     * Simulator is a one-rack fleet).
      */
     FleetSimulator(SimConfig rack_config, double facility_budget,
                    FleetOptions options);

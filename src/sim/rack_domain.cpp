@@ -348,7 +348,9 @@ RackDomain::tick(double now_seconds, double supply_w)
             (std::min(soft_cap, demand) + backfill) * dt_h;
         source_draw = std::min(soft_cap, demand) + backfill;
 
-        if (unserved > config_.shedToleranceW &&
+        // Unserved power tolerated before shedding a server (W).
+        constexpr double kShedToleranceW = 2.0;
+        if (unserved > kShedToleranceW &&
             cluster_.onlineCount() > 0) {
             double per_server = std::max(
                 1.0,
@@ -383,8 +385,8 @@ RackDomain::tick(double now_seconds, double supply_w)
         sc_w = -charged.scPowerW;
         ba_w = -charged.baPowerW;
 
-        if (config_.restartOnRecovery &&
-            cluster_.onlineCount() + plannedOffline_ <
+        // Bring a shed server back once supply recovers.
+        if (cluster_.onlineCount() + plannedOffline_ <
                 config_.numServers &&
             now - lastRestart_ > 300.0 &&
             surplus > config_.serverParams.peakPowerW) {

@@ -189,7 +189,12 @@ simConfigFromConfig(const Config &config)
             fatal("unknown config key '", key, "'");
     if (cfg.numServers < 1)
         fatal("config key 'servers' must be at least 1 (got 0)");
-    return cfg;
+    // The rig resized by the one per-server rule, then every key the
+    // file sets on top of it, so an explicit budget or bank wins.
+    SimConfig scaled;
+    scaled.scaleServers(cfg.numServers);
+    simConfigKeys(reader, scaled);
+    return scaled;
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -38,7 +38,10 @@ void writeResultMetrics(const std::vector<SimResult> &results,
  *   peak_shaving_target_w, fault_injection, fault_seed,
  *   degradation_policy, record_series
  * Any other key is fatal, naming it, so a misspelt key cannot be
- * ignored.
+ * ignored. `servers` resizes the paper's six-server rig through
+ * SimConfig::scaleServers(): each of budget_w, sc_wh and ba_wh that
+ * the file leaves unset scales with it, and an explicit one wins.
+ * servers = 0 is fatal.
  */
 SimConfig simConfigFromConfig(const Config &config);
 

@@ -63,7 +63,6 @@ SimConfig::validate() const
     if (baDod <= 0.0 || baDod > 1.0 || std::isnan(baDod))
         fatal("SimConfig: baDod must be in (0, 1] (got ", baDod,
               ")");
-    requireNonNegative(shedToleranceW, "shedToleranceW");
     requirePositive(serverParams.peakPowerW,
                     "serverParams.peakPowerW");
     requireNonNegative(serverParams.idlePowerW,

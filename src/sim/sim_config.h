@@ -104,9 +104,6 @@ struct SimConfig
     /** HEB granularity. */
     HebDeployment deployment = HebDeployment::RackLevel;
 
-    /** Bring shed servers back when supply recovers. */
-    bool restartOnRecovery = true;
-
     /**
      * Performance-scaling alternative (paper §1): when enabled, the
      * controller first drops every server to the low DVFS level
@@ -115,9 +112,6 @@ struct SimConfig
      * accumulated slowdown as perfDegradationServerSeconds.
      */
     bool dvfsCapping = false;
-
-    /** Unserved power tolerated before shedding a server (W). */
-    double shedToleranceW = 2.0;
 
     /**
      * Record the per-tick demand/supply/unserved series in results.
@@ -187,9 +181,11 @@ struct SimConfig
     }
 
     /**
-     * Resize the rack to @p servers and scale both banks with it (the
-     * defaults size a six-server rack). Budgets are left to the
-     * caller. Returns the factor, servers / old numServers.
+     * Resize the rack to @p servers and scale the utility budget and
+     * both banks with it: the defaults are the paper's six-server rig
+     * (260 W, 96 Wh), and a larger rack is that rig per server. The
+     * one owner of this rule; heb_fleet, the config loader and the
+     * tests all call it. Returns the factor, servers / old numServers.
      */
     double
     scaleServers(std::size_t servers)
@@ -197,6 +193,7 @@ struct SimConfig
         double scale = static_cast<double>(servers) /
                        static_cast<double>(numServers);
         numServers = servers;
+        budgetW *= scale;
         scEnergyWh *= scale;
         baEnergyWh *= scale;
         return scale;

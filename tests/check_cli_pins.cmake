@@ -1,16 +1,19 @@
 # Runs one command-line tool in a fresh directory and checks what it
 # wrote: the SHA-256 of its stdout (saved as stdout.txt) and of each
 # deterministic artifact must match a committed `sha256sum` listing,
-# and each artifact that holds wall times (manifests, profiles) must
-# exist and parse as JSON.
+# each artifact that holds wall times (manifests, profiles) must
+# exist and parse as JSON, and each EXPECT item `file:a.b=value`
+# requires the JSON string or number at member path a.b of file to
+# read `value`.
 #
 #   cmake -DTOOL=<exe> -DWORK_DIR=<dir> -DARGS=<a|b|...>
 #         [-DDIGESTS=<file.sha256>] [-DPARSE=<x.json|...>]
+#         [-DEXPECT=<x.json:a.b=value|...>]
 #         -P tests/check_cli_pins.cmake
 #
-# ARGS and PARSE separate their items with `|`. To re-pin after an
-# intended output change, run the tool as ARGS says and replace the
-# listing with `sha256sum stdout.txt <artifacts>`.
+# ARGS, PARSE and EXPECT separate their items with `|`. To re-pin
+# after an intended output change, run the tool as ARGS says and
+# replace the listing with `sha256sum stdout.txt <artifacts>`.
 cmake_minimum_required(VERSION 3.19)
 if(NOT TOOL OR NOT WORK_DIR)
     message(FATAL_ERROR "check_cli_pins: set -DTOOL and -DWORK_DIR")
@@ -18,6 +21,7 @@ endif()
 
 string(REPLACE "|" ";" args "${ARGS}")
 string(REPLACE "|" ";" parse "${PARSE}")
+string(REPLACE "|" ";" expect "${EXPECT}")
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -59,6 +63,27 @@ foreach(name IN LISTS parse)
     string(JSON type ERROR_VARIABLE err TYPE "${text}")
     if(err)
         string(APPEND failures "\n  ${name}: not JSON (${err})")
+    endif()
+endforeach()
+
+foreach(item IN LISTS expect)
+    if(NOT item MATCHES "^([^:]+):([^=]+)=(.*)$")
+        message(FATAL_ERROR "malformed EXPECT item: ${item}")
+    endif()
+    set(name ${CMAKE_MATCH_1})
+    string(REPLACE "." ";" path "${CMAKE_MATCH_2}")
+    set(want "${CMAKE_MATCH_3}")
+    if(NOT EXISTS ${WORK_DIR}/${name})
+        string(APPEND failures "\n  ${name}: not written")
+        continue()
+    endif()
+    file(READ ${WORK_DIR}/${name} text)
+    string(JSON got ERROR_VARIABLE err GET "${text}" ${path})
+    if(err)
+        string(APPEND failures "\n  ${name}: ${CMAKE_MATCH_2}: ${err}")
+    elseif(NOT got STREQUAL want)
+        string(APPEND failures
+            "\n  ${name}: ${CMAKE_MATCH_2} is '${got}', want '${want}'")
     endif()
 endforeach()
 

@@ -81,8 +81,8 @@ split(const std::string &text, char sep)
 
 /**
  * Parse a scenario line of key=value tokens; only racks is required:
- *   hours=4 servers=6 (banks scale by servers / 6)
- *   budget=W per rack (260 * servers / 6) policy=static|proportional
+ *   hours=4 servers=6 (SimConfig::scaleServers: budget and banks)
+ *   budget=W per rack (the scaled budget) policy=static|proportional
  *   outages=START+SECONDS,... faults=1 weak= trips= trip_s= ats=
  *   fault_seed=1 noise=SIGMA ladder=1 solar=1 sunrise= sunset= slim=1
  *   racks=WORKLOAD[@SEED]:SCHEME,... lanes=2
@@ -114,9 +114,8 @@ parseScenario(const std::string &line)
     Scenario s;
     SimConfig &cfg = s.cfg;
     cfg.durationSeconds = num("hours", 4.0) * 3600.0;
-    const double scale = cfg.scaleServers(
-        static_cast<std::size_t>(num("servers", 6.0)));
-    cfg.budgetW = num("budget", 260.0 * scale);
+    cfg.scaleServers(static_cast<std::size_t>(num("servers", 6.0)));
+    cfg.budgetW = num("budget", cfg.budgetW);
     if (take("policy") == "proportional")
         s.policy = BudgetPolicy::Proportional;
     for (const std::string &w : split(take("outages"), ',')) {
@@ -186,9 +185,11 @@ randomScenario(std::uint64_t seed)
     const double servers = pick({6.0, 6.0, 32.0});
     const double hours = pick({1.0, 1.5, 2.0, 3.0});
     const auto minutes = static_cast<std::uint64_t>(hours * 60.0);
+    const double watts_per_server = pick({40.0, 0.0, 48.0});
     std::ostringstream line;
-    line << "hours=" << num(hours) << " servers=" << num(servers)
-         << " budget=" << num(servers * pick({40.0, 260.0 / 6.0, 48.0}));
+    line << "hours=" << num(hours) << " servers=" << num(servers);
+    if (watts_per_server > 0.0) // else the rig's scaled budget
+        line << " budget=" << num(servers * watts_per_server);
     if (racks > 1 && rng.below(2))
         line << " policy=proportional";
     for (std::uint64_t i = 0, n = rng.below(3); i < n; ++i)

@@ -107,6 +107,28 @@ TEST(Fleet, InvalidInputsFatal)
                 "missing");
 }
 
+TEST(Fleet, FeedBelowIdleDrawFatal)
+{
+    // Three six-server racks idle at 3 x 6 x 30 = 540 W.
+    Rig rig = table1Rig();
+    EXPECT_EXIT(FleetSimulator(hoursConfig(1.0), 500.0, FleetOptions{})
+                    .run(rig.specs),
+                testing::ExitedWithCode(1),
+                "budget_w / --budget-w.*servers / --servers");
+    FleetResult idle = FleetSimulator(hoursConfig(1.0), 540.0,
+                                      FleetOptions{})
+                           .run(rig.specs);
+    EXPECT_EQ(idle.racks.size(), 3u);
+
+    // A solar feed has no budget to check: one 196-server rack runs.
+    SimConfig sun = hoursConfig(1.0);
+    sun.scaleServers(196);
+    sun.solarPowered = true;
+    FleetResult r = FleetSimulator(sun, 0.0, FleetOptions{})
+                        .run({rig.specs[0]});
+    EXPECT_EQ(r.racks.size(), 1u);
+}
+
 TEST(Fleet, PolicyNames)
 {
     EXPECT_STREQ(budgetPolicyName(BudgetPolicy::Static), "static");

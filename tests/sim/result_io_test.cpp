@@ -103,7 +103,26 @@ TEST(ResultIo, SimConfigFromConfigNegativeServersFatal)
                 "servers");
     Config zero = Config::fromString("servers = 0");
     EXPECT_EXIT(simConfigFromConfig(zero), ::testing::ExitedWithCode(1),
-                "servers");
+                "'servers' must be at least 1 \\(got 0\\)");
+}
+
+TEST(ResultIo, ServersScaleUnsetBudgetAndBanks)
+{
+    // servers alone sizes the rig by SimConfig::scaleServers, bit for
+    // bit; a key the file sets wins over the rule.
+    SimConfig want;
+    want.scaleServers(196);
+    SimConfig cfg = simConfigFromConfig(Config::fromString("servers = 196"));
+    EXPECT_EQ(cfg.numServers, 196u);
+    EXPECT_EQ(cfg.budgetW, want.budgetW);
+    EXPECT_EQ(cfg.scEnergyWh, want.scEnergyWh);
+    EXPECT_EQ(cfg.baEnergyWh, want.baEnergyWh);
+
+    SimConfig set = simConfigFromConfig(
+        Config::fromString("servers = 196\nbudget_w = 9000\nsc_wh = 10"));
+    EXPECT_EQ(set.budgetW, 9000.0);
+    EXPECT_EQ(set.scEnergyWh, 10.0);
+    EXPECT_EQ(set.baEnergyWh, want.baEnergyWh);
 }
 
 /** Every config key, each away from its default. */

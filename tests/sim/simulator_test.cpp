@@ -172,6 +172,20 @@ TEST(Simulator, CapacityRatioHelper)
     EXPECT_NEAR(cfg.totalBufferWh(), total, 1e-9);
 }
 
+TEST(Simulator, ScaleServersScalesBudgetAndBanks)
+{
+    SimConfig cfg;
+    const SimConfig rig;
+    EXPECT_EQ(cfg.scaleServers(12), 2.0);
+    EXPECT_EQ(cfg.numServers, 12u);
+    EXPECT_EQ(cfg.budgetW, 2.0 * rig.budgetW);
+    EXPECT_EQ(cfg.scEnergyWh, 2.0 * rig.scEnergyWh);
+    EXPECT_EQ(cfg.baEnergyWh, 2.0 * rig.baEnergyWh);
+    SimConfig big;
+    big.scaleServers(196);
+    EXPECT_EQ(big.budgetW, 8493.333333333332);
+}
+
 /** FNV-1a (64-bit) folded over @p text, continuing from @p h. */
 std::uint64_t
 fnv1a(std::uint64_t h, const std::string &text)

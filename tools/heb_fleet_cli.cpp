@@ -40,6 +40,7 @@
 #include "sim/result_io.h"
 #include "util/atomic_file.h"
 #include "util/cli.h"
+#include "util/format.h"
 #include "util/logging.h"
 #include "util/table_printer.h"
 
@@ -74,9 +75,9 @@ const std::string kUsage =
         "seed; default shares one plan per profile\n"
         "  --slim drops per-rack results and per-tick series "
         "(memory flat in rack count)\n"
-        "  --budget-w is the shared facility feed (default 260 W "
-        "per 6 servers per rack: 260 W per rack at the default "
-        "--servers 6)\n"
+        "  --budget-w is the shared facility feed (default one "
+        "rack's scaled budget per rack: 260 W per 6 servers);\n"
+        "  a grid feed below the fleet's idle draw is fatal\n"
         "  --metrics-listen serves the Prometheus exposition on "
         "127.0.0.1:PORT\n"
         "  --health-out writes the fleet health rollup JSON; "
@@ -102,7 +103,7 @@ main(int argc, char **argv)
     std::string scheme_name = "HEB-D";
     std::size_t servers = 0; // 0 -> SimConfig default
     double hours = 0.0;      // 0 -> SimConfig default
-    double budget_w = 0.0;   // 0 -> 260 W per 6 servers per rack
+    double budget_w = 0.0;   // 0 -> the scaled rack budget per rack
     FleetOptions options;
     options.policy = BudgetPolicy::Proportional;
     bool slim = false;
@@ -193,11 +194,8 @@ main(int argc, char **argv)
         cfg.scaleServers(servers);
     if (hours > 0.0)
         cfg.durationSeconds = hours * 3600.0;
-    if (budget_w <= 0.0) {
-        // The paper rack's ratio: 260 W per six servers.
-        budget_w = 260.0 * static_cast<double>(cfg.numServers) / 6.0 *
-                   static_cast<double>(racks);
-    }
+    if (budget_w <= 0.0)
+        budget_w = cfg.budgetW * static_cast<double>(racks);
     if (slim)
         cfg.recordSeries = false;
     cfg.validate();
@@ -227,6 +225,11 @@ main(int argc, char **argv)
     manifest.tool = "heb_fleet";
     manifest.seed = cfg.seed;
     manifest.config = describeSimConfig(cfg);
+    manifest.config.emplace_back("racks", std::to_string(racks));
+    manifest.config.emplace_back("policy",
+                                 budgetPolicyName(options.policy));
+    manifest.config.emplace_back("facility_budget_w",
+                                 formatRoundTrip(budget_w));
     manifest.schemeName = scheme_name;
     manifest.workloadName = workload_list;
     outputs.startClock();
